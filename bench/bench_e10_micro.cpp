@@ -157,7 +157,7 @@ LoadedLinkStats measure_loaded_link(int envelopes) {
     if (std::chrono::steady_clock::now() > deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
-  for (auto& ep : endpoints) ep->stop_and_flush();
+  stop_and_flush_all(endpoints);
   SocketCounters total;
   for (auto& ep : endpoints) total += ep->counters();
   endpoints.clear();

@@ -101,6 +101,11 @@ class DecideMessage final : public Message {
     return "DECIDE(" + std::to_string(value_) + ")";
   }
 
+  bool same_content(const Message& other) const override {
+    const auto* that = as_same_type<DecideMessage>(other);
+    return that != nullptr && that->value_ == value_;
+  }
+
   MessagePtr mutated(Value v) const override {
     return std::make_shared<DecideMessage>(v);
   }
@@ -118,6 +123,9 @@ std::optional<Value> find_decide_notice(const Delivery& delivery);
 class FillerMessage final : public Message {
  public:
   std::string describe() const override { return "FILLER"; }
+  bool same_content(const Message& other) const override {
+    return as_same_type<FillerMessage>(other) != nullptr;
+  }
 };
 
 }  // namespace indulgence

@@ -42,6 +42,10 @@ class HrCoordMessage final : public Message {
   std::string describe() const override {
     return "HR-COORD(" + std::to_string(est_) + ")";
   }
+  bool same_content(const Message& other) const override {
+    const auto* that = as_same_type<HrCoordMessage>(other);
+    return that != nullptr && that->est_ == est_;
+  }
 
   MessagePtr mutated(Value v) const override {
     return std::make_shared<HrCoordMessage>(v);
@@ -58,6 +62,10 @@ class HrVoteMessage final : public Message {
   bool is_bottom() const { return aux_ == kBottom; }
   std::string describe() const override {
     return "HR-VOTE(" + (is_bottom() ? "BOTTOM" : std::to_string(aux_)) + ")";
+  }
+  bool same_content(const Message& other) const override {
+    const auto* that = as_same_type<HrVoteMessage>(other);
+    return that != nullptr && that->aux_ == aux_;
   }
 
   MessagePtr mutated(Value v) const override {

@@ -54,6 +54,11 @@ class At2EstimateMessage final : public Message {
            halt_.to_string() + ")";
   }
 
+  bool same_content(const Message& other) const override {
+    const auto* that = as_same_type<At2EstimateMessage>(other);
+    return that != nullptr && that->est_ == est_ && that->halt_ == halt_;
+  }
+
   /// Only the estimate is lie-mutable; the halt set rides along unchanged.
   MessagePtr mutated(Value v) const override {
     return std::make_shared<At2EstimateMessage>(v, halt_);
@@ -77,6 +82,11 @@ class At2NewEstimateMessage final : public Message {
            ")";
   }
 
+  bool same_content(const Message& other) const override {
+    const auto* that = as_same_type<At2NewEstimateMessage>(other);
+    return that != nullptr && that->ne_ == ne_;
+  }
+
   MessagePtr mutated(Value v) const override {
     return std::make_shared<At2NewEstimateMessage>(v);
   }
@@ -94,6 +104,12 @@ class At2UnderlyingMessage final : public Message {
 
   std::string describe() const override {
     return "C[" + inner_->describe() + "]";
+  }
+
+  bool same_content(const Message& other) const override {
+    const auto* that = as_same_type<At2UnderlyingMessage>(other);
+    return that != nullptr && (that->inner_ == inner_ ||
+                               inner_->same_content(*that->inner_));
   }
 
   /// Lies reach through to the wrapped module's payload.

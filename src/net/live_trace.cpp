@@ -125,13 +125,7 @@ Round minimal_conforming_gst(const RunTrace& trace) {
     return it == crash_round.end() || it->second > k;
   };
 
-  std::set<std::tuple<ProcessId, Round, ProcessId>> in_round;
-  for (const DeliveryRecord& d : trace.deliveries()) {
-    if (d.recv_round == d.send_round) {
-      in_round.insert({d.sender, d.send_round, d.receiver});
-    }
-  }
-
+  const InRoundIndex in_round(trace);
   Round gst = 1;
   for (const SendRecord& s : trace.sends()) {
     auto it = crash_round.find(s.sender);
@@ -142,7 +136,7 @@ Round minimal_conforming_gst(const RunTrace& trace) {
     if (trace.byzantine().contains(s.sender)) continue;
     for (ProcessId r = 0; r < trace.config().n; ++r) {
       if (!completes(r, s.round)) continue;
-      if (!in_round.count({s.sender, s.round, r})) {
+      if (!in_round.contains(s.sender, s.round, r)) {
         gst = std::max(gst, s.round + 1);
         break;
       }

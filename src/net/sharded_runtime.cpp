@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/thread_pool.hpp"
 #include "net/live_trace.hpp"
 #include "net/round_driver.hpp"
 #include "sim/validator.hpp"
@@ -253,24 +254,11 @@ ShardedResult run_sharded(const ShardedOptions& options,
   }
   for (std::thread& t : threads) t.join();
 
-  // Stop all endpoints concurrently (overlapping linger windows, as in
-  // SocketHub); every returned copy carries its owning group.
-  std::vector<std::vector<UndeliveredCopy>> flushed(endpoints.size());
-  {
-    std::vector<std::thread> stoppers;
-    stoppers.reserve(endpoints.size());
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      stoppers.emplace_back(
-          [&, i] { flushed[i] = endpoints[i]->stop_and_flush(); });
-    }
-    for (std::thread& t : stoppers) t.join();
-  }
+  // Every returned copy carries its owning group.
   std::vector<std::vector<UndeliveredCopy>> undelivered(
       static_cast<std::size_t>(groups));
-  for (auto& part : flushed) {
-    for (UndeliveredCopy& copy : part) {
-      undelivered[static_cast<std::size_t>(copy.group)].push_back(copy);
-    }
+  for (UndeliveredCopy& copy : stop_and_flush_all(endpoints)) {
+    undelivered[static_cast<std::size_t>(copy.group)].push_back(copy);
   }
   for (GroupId g = 0; g < groups; ++g) {
     for (ProcessId pid = 0; pid < config.n; ++pid) {
@@ -290,24 +278,31 @@ ShardedResult run_sharded(const ShardedOptions& options,
     }
   }
 
+  std::vector<GroupOutcome> outcomes(static_cast<std::size_t>(groups));
+  std::vector<std::vector<ProcessLog>> logs(static_cast<std::size_t>(groups));
+  for (GroupId g = 0; g < groups; ++g) {
+    for (auto& driver : drivers[static_cast<std::size_t>(g)]) {
+      logs[static_cast<std::size_t>(g)].push_back(std::move(driver->log()));
+      outcomes[static_cast<std::size_t>(g)].algorithms.push_back(
+          driver->take_algorithm());
+    }
+  }
+  // Groups are independent, so each merge + validation is one pool task
+  // writing only its own slot: the outcomes do not depend on the job count.
+  parallel_for_chunked(
+      groups, 1, default_campaign().resolved_jobs(),
+      [&](long index, long, long) {
+        const auto g = static_cast<std::size_t>(index);
+        const bool terminated = options.fixed_rounds > 0 ||
+                                controls[g]->completed_normally();
+        outcomes[g].result =
+            merge_group(config, terminated, logs[g],
+                        std::move(undelivered[g]), options.socket.byzantine);
+      });
+
   ShardedResult result;
   for (GroupId g = 0; g < groups; ++g) {
-    auto& group_drivers = drivers[static_cast<std::size_t>(g)];
-    std::vector<ProcessLog> logs;
-    logs.reserve(group_drivers.size());
-    GroupOutcome outcome;
-    for (auto& driver : group_drivers) {
-      logs.push_back(std::move(driver->log()));
-      outcome.algorithms.push_back(driver->take_algorithm());
-    }
-    const bool terminated =
-        options.fixed_rounds > 0
-            ? true
-            : controls[static_cast<std::size_t>(g)]->completed_normally();
-    outcome.result =
-        merge_group(config, terminated, logs,
-                    std::move(undelivered[static_cast<std::size_t>(g)]),
-                    options.socket.byzantine);
+    GroupOutcome& outcome = outcomes[static_cast<std::size_t>(g)];
     const std::vector<int> members = group_placement(g, config.n, nodes);
     for (ProcessId pid = 0; pid < config.n; ++pid) {
       outcome.traffic += endpoints[static_cast<std::size_t>(

@@ -337,6 +337,8 @@ struct SocketEndpoint::Link {
   FrameParser ack_parser;
   Clock::time_point last_rx{};
   Clock::time_point last_tx{};
+  bool fin_sent = false;   ///< FIN written on the current connection
+  bool fin_echoed = false; ///< the peer's reader echoed it: the link is done
   /// Reused gather scratch for the coalesced flush (supervisor-only).
   std::vector<iovec> iov_scratch;
   std::vector<HoldItem*> batch_scratch;
@@ -423,6 +425,7 @@ void SocketEndpoint::init_listener_and_links() {
   byz_ = ByzantinePlanner(options_.byzantine);
   listen_fd_ = open_listener(listen_address_);
   link_index_.assign(static_cast<std::size_t>(num_nodes_), -1);
+  fin_from_.assign(static_cast<std::size_t>(num_nodes_), 0);
   links_.reserve(static_cast<std::size_t>(num_nodes_) - 1);
   for (int peer = 0; peer < num_nodes_; ++peer) {
     if (peer == node_) continue;
@@ -698,6 +701,7 @@ bool SocketEndpoint::connect_link(Link* link, Clock::time_point now) {
   link->fd = fd;
   link->sent_up_to = link->acked;  // redeliver every unacknowledged copy
   link->ack_parser = FrameParser{};
+  link->fin_sent = false;  // a new connection carries the goodbye again
   link->last_rx = now;
   link->last_tx = now;
   link->schedule.on_success();
@@ -907,22 +911,29 @@ bool SocketEndpoint::flush_link_chaos(Link* link, Clock::time_point now) {
 }
 
 /// Drains acknowledgements from the connection.  Returns false when the
-/// peer closed or errored.
+/// peer closed or errored; what arrived before the close still counts, so
+/// a FIN echo the peer wrote just before closing is not lost.
 bool SocketEndpoint::pump_acks(Link* link) {
   std::uint8_t buf[4096];
+  bool open = true;
   for (;;) {
     const ssize_t n = ::recv(link->fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (n > 0) {
       link->ack_parser.feed(buf, static_cast<std::size_t>(n));
       continue;
     }
-    if (n == 0) return false;  // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    open = false;  // peer closed, or the connection failed
+    break;
   }
   bool any = false;
   while (std::optional<Frame> frame = link->ack_parser.next()) {
+    if (frame->type == FrameType::Fin) {
+      link->fin_echoed = true;
+      any = true;
+      continue;
+    }
     if (frame->type != FrameType::Ack) continue;
     any = true;
     if (frame->seq > link->acked) {
@@ -940,21 +951,31 @@ bool SocketEndpoint::pump_acks(Link* link) {
     link->last_rx = Clock::now();
     link->cv.notify_all();  // wake hold-queue back-pressure waiters
   }
-  return !link->ack_parser.poisoned();
+  return open && !link->ack_parser.poisoned();
+}
+
+bool SocketEndpoint::send_fin(Link* link, Clock::time_point now) {
+  {
+    std::lock_guard<std::mutex> lock(link->mutex);
+    if (!link->hold.empty()) return true;  // not drained yet
+  }
+  const std::vector<std::uint8_t> fin = encode_fin(link->acked);
+  if (!write_all(link->fd, fin.data(), fin.size(), options_.send_timeout)) {
+    drop_connection(link);
+    return false;
+  }
+  link->fin_sent = true;
+  link->last_tx = now;
+  return true;
 }
 
 void SocketEndpoint::supervisor_loop(Link* link) {
   for (;;) {
     const Clock::time_point now = Clock::now();
     const bool stopping = stopping_.load(std::memory_order_acquire);
-    if (stopping) {
-      bool empty;
-      {
-        std::lock_guard<std::mutex> lock(link->mutex);
-        empty = link->hold.empty();
-      }
-      if (empty || now >= halt_deadline_) break;
-    }
+    // A stopping link is done once the peer echoed its FIN; the linger
+    // deadline only bounds a peer that never answers (a crashed one).
+    if (stopping && (link->fin_echoed || now >= halt_deadline_)) break;
 
     if (link->fd < 0) {
       const bool expedited = expedited_.load(std::memory_order_acquire);
@@ -984,11 +1005,17 @@ void SocketEndpoint::supervisor_loop(Link* link) {
       drop_connection(link);
       continue;
     }
+    if (stopping && !link->fin_sent && !send_fin(link, now)) continue;
     // One keep-alive decision per poll cycle, against the cycle's single
     // `now` — the flush above stamped last_tx with that same timestamp, so
     // a slow flush can neither trigger a spurious heartbeat nor suppress a
-    // due redial within its own cycle.
-    switch (keepalive_action(now, link->last_rx, link->last_tx, options_)) {
+    // due redial within its own cycle.  After FIN only the echo is awaited:
+    // a redial could drop an echo already in flight, and a silent peer is
+    // bounded by the linger deadline.
+    switch (link->fin_sent
+                ? KeepaliveAction::None
+                : keepalive_action(now, link->last_rx, link->last_tx,
+                                   options_)) {
       case KeepaliveAction::Redial: {
         {
           std::lock_guard<std::mutex> lock(counters_mutex_);
@@ -1018,8 +1045,14 @@ void SocketEndpoint::supervisor_loop(Link* link) {
     // one comparison against the tail — not a scan.
     const bool work_pending =
         !link->hold.empty() && link->hold.back().seq > link->sent_up_to;
-    if (!work_pending && !stopping_.load(std::memory_order_acquire)) {
+    if (work_pending) continue;
+    if (!stopping_.load(std::memory_order_acquire)) {
       link->cv.wait_for(lock, std::chrono::microseconds{2'000});
+    } else {
+      // Draining: only acks and the FIN echo can arrive; wait on the
+      // socket for them instead of spinning.
+      lock.unlock();
+      poll_one(link->fd, POLLIN, std::chrono::microseconds{1'000});
     }
   }
   drop_connection(link);
@@ -1078,6 +1111,7 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
     // sender blocked on POLLOUT in the forward direction — both sides
     // timing out and dropping a healthy connection.
     bool want_ack = false;
+    bool fin = false;
     std::uint64_t ack_cumulative = 0;
     while (std::optional<Frame> frame = parser.next()) {
       switch (frame->type) {
@@ -1165,22 +1199,44 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
           want_ack = true;
           break;
         }
+        case FrameType::Fin:
+          fin = peer >= 0;
+          break;
         case FrameType::Ack:
           break;  // acks only flow on outbound connections
       }
       if (broken) break;
     }
-    if (want_ack && !broken) {
+    if ((want_ack || fin) && !broken) {
       ack_writer.clear();
-      encode_ack_into(ack_cumulative, ack_writer);
+      if (want_ack) encode_ack_into(ack_cumulative, ack_writer);
+      if (fin) {
+        std::lock_guard<std::mutex> lock(delivered_mutex_);
+        encode_fin_into(delivered_seq_[static_cast<std::size_t>(peer)],
+                        ack_writer);
+      }
       if (!write_all(conn->fd, ack_writer.data(), ack_writer.size(),
                      options_.send_timeout)) {
         broken = true;
       }
     }
+    // Counted only once echoed: stop_and_flush closes this connection as
+    // soon as every peer's FIN is counted, and the echo must be out first.
+    if (fin && !broken) note_fin(peer);
     if (broken || parser.poisoned()) break;
   }
   ::shutdown(conn->fd, SHUT_RDWR);
+}
+
+void SocketEndpoint::note_fin(int peer) {
+  {
+    std::lock_guard<std::mutex> lock(fin_mutex_);
+    char& seen = fin_from_[static_cast<std::size_t>(peer)];
+    if (seen) return;
+    seen = 1;
+    ++fins_;
+  }
+  fin_cv_.notify_all();
 }
 
 void SocketEndpoint::close_all_inbound() {
@@ -1193,13 +1249,20 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
   flushed_ = true;
 
   if (running_.load(std::memory_order_acquire)) {
-    // Linger: keep supervisors and readers alive so in-flight copies get
-    // acknowledged instead of lingering as pending records.
+    // FIN exchange: each link drains its hold queue, sends FIN and ends on
+    // the peer's echo, while the readers keep acking until every peer's
+    // FIN has arrived.  `linger` only bounds a peer that never says
+    // goodbye, such as a crashed process.
     halt_deadline_ = Clock::now() + options_.linger;
     stopping_.store(true, std::memory_order_release);
     for (auto& link : links_) link->cv.notify_all();
     for (auto& link : links_) {
       if (link->thread.joinable()) link->thread.join();
+    }
+    {
+      std::unique_lock<std::mutex> lock(fin_mutex_);
+      fin_cv_.wait_until(lock, halt_deadline_,
+                         [this] { return fins_ == num_nodes_ - 1; });
     }
     running_.store(false, std::memory_order_release);
     ::shutdown(listen_fd_, SHUT_RDWR);
@@ -1295,6 +1358,23 @@ std::vector<GroupId> SocketEndpoint::peer_advertised_groups(int node) const {
   return it == peer_groups_.end() ? std::vector<GroupId>{} : it->second;
 }
 
+std::vector<UndeliveredCopy> stop_and_flush_all(
+    const std::vector<std::unique_ptr<SocketEndpoint>>& endpoints) {
+  std::vector<std::vector<UndeliveredCopy>> parts(endpoints.size());
+  std::vector<std::thread> stoppers;
+  stoppers.reserve(endpoints.size());
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    stoppers.emplace_back(
+        [&endpoints, &parts, i] { parts[i] = endpoints[i]->stop_and_flush(); });
+  }
+  for (std::thread& t : stoppers) t.join();
+  std::vector<UndeliveredCopy> undelivered;
+  for (auto& part : parts) {
+    undelivered.insert(undelivered.end(), part.begin(), part.end());
+  }
+  return undelivered;
+}
+
 // ---------------------------------------------------------------------------
 // SocketHub
 
@@ -1360,22 +1440,7 @@ void SocketHub::expedite() {
 std::vector<UndeliveredCopy> SocketHub::stop_and_flush() {
   if (flushed_) return {};
   flushed_ = true;
-  // Stop all endpoints concurrently so their linger windows overlap: every
-  // side keeps acking while every other side drains, instead of endpoint 0
-  // going deaf while endpoint 1 is still flushing to it.
-  std::vector<std::vector<UndeliveredCopy>> parts(endpoints_.size());
-  std::vector<std::thread> stoppers;
-  stoppers.reserve(endpoints_.size());
-  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    stoppers.emplace_back(
-        [this, i, &parts] { parts[i] = endpoints_[i]->stop_and_flush(); });
-  }
-  for (std::thread& t : stoppers) t.join();
-  std::vector<UndeliveredCopy> undelivered;
-  for (auto& part : parts) {
-    undelivered.insert(undelivered.end(), part.begin(), part.end());
-  }
-  return undelivered;
+  return stop_and_flush_all(endpoints_);
 }
 
 SocketCounters SocketHub::counters() const {

@@ -52,11 +52,17 @@
 // switched off by expedite().  The oracle stays the unchanged Validator:
 // whatever the chaos does, each group's merged trace must still satisfy
 // eventual synchrony from some derived GST round on.
+//
+// Teardown is a FIN exchange: a stopping endpoint says FIN on each link
+// once its hold queue is fully acknowledged and ends the link on the
+// peer's echo, while its readers keep acking until every peer's FIN has
+// arrived.  `linger` only bounds a peer that never says goodbye.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -218,8 +224,10 @@ struct SocketTransportOptions {
   /// (acks included) marks the connection suspect and redials it.
   std::chrono::microseconds heartbeat_every{25'000};
   std::chrono::microseconds peer_silence{150'000};
-  /// How long stop_and_flush keeps links alive waiting for final acks, so
-  /// copies that were delivered do not linger as pending records.
+  /// Upper bound on stop_and_flush's FIN exchange (links drain and say
+  /// FIN, readers ack until every peer's FIN came in).  Peers that stop
+  /// together finish well inside it; it runs out only on a peer that never
+  /// says goodbye, such as a crashed process.
   std::chrono::microseconds linger{250'000};
   BackoffPolicy backoff;
   WireChaosOptions chaos;
@@ -441,6 +449,8 @@ class SocketEndpoint final : public SupervisedTransport {
   bool flush_link_batched(Link* link, Clock::time_point now);
   bool flush_link_chaos(Link* link, Clock::time_point now);
   bool pump_acks(Link* link);
+  bool send_fin(Link* link, Clock::time_point now);
+  void note_fin(int peer);
   void drop_connection(Link* link);
   bool chaos_active(Clock::time_point now) const;
   bool chaos_scoped(const Link* link) const;
@@ -483,6 +493,12 @@ class SocketEndpoint final : public SupervisedTransport {
   std::vector<std::unique_ptr<Inbound>> inbound_;
   /// Latest HELLO2 advertisement per peer node.
   std::map<int, std::vector<GroupId>> peer_groups_;
+
+  /// Peers whose FIN arrived (and was echoed) on an inbound connection.
+  std::mutex fin_mutex_;
+  std::condition_variable fin_cv_;
+  std::vector<char> fin_from_;
+  int fins_ = 0;
 
   /// Highest sequence delivered per peer node; survives reconnects
   /// (dedup).  Per link, shared by every group riding on it.
@@ -535,6 +551,12 @@ class GroupPort final : public SupervisedTransport {
   SocketEndpoint* endpoint_;
   GroupId group_;
 };
+
+/// Stops every endpoint concurrently and returns their undelivered copies,
+/// endpoint by endpoint.  Stopping together is what lets the FIN exchange
+/// end early: an endpoint's readers stay up until every peer said FIN.
+std::vector<UndeliveredCopy> stop_and_flush_all(
+    const std::vector<std::unique_ptr<SocketEndpoint>>& endpoints);
 
 /// In-process fabric for the LiveRuntime, the --socket fuzz campaign, and
 /// the X5-socket bench: n endpoints wired over real sockets inside one

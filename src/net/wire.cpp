@@ -415,6 +415,11 @@ std::size_t encode_heartbeat_into(WireWriter& out) {
   return append_frame(FrameType::Heartbeat, out, [](WireWriter&) {});
 }
 
+std::size_t encode_fin_into(std::uint64_t seq, WireWriter& out) {
+  return append_frame(FrameType::Fin, out,
+                      [&](WireWriter& body) { body.u64(seq); });
+}
+
 std::vector<std::uint8_t> encode_hello(ProcessId sender) {
   WireWriter out;
   encode_hello_into(sender, out);
@@ -451,6 +456,12 @@ std::vector<std::uint8_t> encode_ack(std::uint64_t cumulative_seq) {
 std::vector<std::uint8_t> encode_heartbeat() {
   WireWriter out;
   encode_heartbeat_into(out);
+  return out.take();
+}
+
+std::vector<std::uint8_t> encode_fin(std::uint64_t seq) {
+  WireWriter out;
+  encode_fin_into(seq, out);
   return out.take();
 }
 
@@ -598,11 +609,12 @@ std::optional<Frame> FrameParser::next() {
         }
         break;
       }
-      case FrameType::Ack: {
+      case FrameType::Ack:
+      case FrameType::Fin: {
         auto seq = body.u64();
         if (seq && body.done()) {
           Frame f;
-          f.type = FrameType::Ack;
+          f.type = static_cast<FrameType>(raw_type);
           f.seq = *seq;
           frame = std::move(f);
         }

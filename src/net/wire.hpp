@@ -5,7 +5,7 @@
 // stream reader can recover frame boundaries across short reads and detect
 // truncation (a reset mid-frame leaves a partial frame that never completes;
 // the reader discards it and the supervisor's redelivery makes it whole
-// again).  The frame-type registry is closed and append-only; six types
+// again).  The frame-type registry is closed and append-only; seven types
 // exist across the two wire versions:
 //
 //   HELLO      i32 sender             v1: first frame of every outbound link
@@ -16,6 +16,9 @@
 //              group                  v2: advertises the hosted group set
 //   ENVELOPE2  u64 seq | i32 group | i32 sender | i32 send_round |
 //              i32 target_round | message
+//   FIN        u64 seq                v2 teardown: the dialer's link is
+//              drained (every copy up to seq acknowledged) and sends no
+//              more; the reader echoes a FIN carrying its delivered seq
 //
 // Version 2 (kWireVersion) multiplexes many consensus groups over one
 // link: ENVELOPE2 tags each copy with its owning group and group-local
@@ -57,6 +60,7 @@ enum class FrameType : std::uint8_t {
   Heartbeat = 4,
   Hello2 = 5,     ///< v2: node id + hosted group set
   Envelope2 = 6,  ///< v2: group-tagged envelope
+  Fin = 7,        ///< v2: link goodbye (dialer) and its echo (reader)
 };
 
 /// The framing version v2-aware senders advertise in HELLO2.
@@ -132,7 +136,7 @@ MessagePtr decode_message(WireReader& in);
 struct Frame {
   FrameType type = FrameType::Heartbeat;
   ProcessId hello_sender = -1;        ///< Hello / Hello2 (node id)
-  std::uint64_t seq = 0;              ///< Envelope(2) / Ack (cumulative)
+  std::uint64_t seq = 0;              ///< Envelope(2) / Ack (cumulative) / Fin
   /// Envelope(2).  v2 fills group and the group-local sender from the wire;
   /// a v1 frame leaves sender = -1 (the caller derives it from the link)
   /// and group = 0.
@@ -153,6 +157,7 @@ std::vector<std::uint8_t> encode_envelope_frame2(std::uint64_t seq,
                                                  const NetEnvelope& envelope);
 std::vector<std::uint8_t> encode_ack(std::uint64_t cumulative_seq);
 std::vector<std::uint8_t> encode_heartbeat();
+std::vector<std::uint8_t> encode_fin(std::uint64_t seq);
 
 // --- zero-copy variants ------------------------------------------------------
 //
@@ -176,6 +181,7 @@ std::size_t encode_envelope_frame2_into(std::uint64_t seq,
                                         WireWriter& out);
 std::size_t encode_ack_into(std::uint64_t cumulative_seq, WireWriter& out);
 std::size_t encode_heartbeat_into(WireWriter& out);
+std::size_t encode_fin_into(std::uint64_t seq, WireWriter& out);
 
 /// Byte offset of the u64 seq inside an ENVELOPE / ENVELOPE2 frame (after
 /// the 4-byte length and 1-byte type).  Lets the transport encode an

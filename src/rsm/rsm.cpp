@@ -20,6 +20,17 @@ std::string RsmBundleMessage::describe() const {
   return os.str();
 }
 
+bool RsmBundleMessage::same_content(const Message& other) const {
+  const auto* that = as_same_type<RsmBundleMessage>(other);
+  return that != nullptr &&
+         std::equal(parts_.begin(), parts_.end(), that->parts_.begin(),
+                    that->parts_.end(), [](const auto& a, const auto& b) {
+                      return a.first == b.first &&
+                             (a.second == b.second ||
+                              a.second->same_content(*b.second));
+                    });
+}
+
 RsmReplica::RsmReplica(ProcessId self, const SystemConfig& config,
                        AlgorithmFactory slot_factory,
                        std::vector<Value> commands, RsmOptions options)

@@ -99,6 +99,9 @@ class RsmBundleMessage final : public Message {
 
   std::string describe() const override;
 
+  /// Same slot keys, and part-wise same_content per slot.
+  bool same_content(const Message& other) const override;
+
  private:
   std::map<int, MessagePtr> parts_;
 };

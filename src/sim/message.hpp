@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "common/types.hpp"
@@ -29,6 +30,15 @@ class Message {
   /// Human-readable rendering for traces and test failure output.
   virtual std::string describe() const = 0;
 
+  /// Content equality, as the validator's equivocation check asks it: two
+  /// separately decoded copies of one broadcast are the same message.  The
+  /// contract is `a.same_content(b) == (a.describe() == b.describe())`;
+  /// the default is exactly that comparison.  Types that ride every live
+  /// round override it with a field-wise comparison that renders nothing.
+  virtual bool same_content(const Message& other) const {
+    return describe() == other.describe();
+  }
+
   /// Byzantine mutation surface (sim/byzantine.hpp): a copy of this payload
   /// with its primary value field replaced by `v`, or nullptr when the type
   /// has no lie-mutable field.  Only the plain value may change — signer
@@ -37,6 +47,16 @@ class Message {
   virtual std::shared_ptr<const Message> mutated(Value v) const {
     (void)v;
     return nullptr;
+  }
+
+ protected:
+  /// `other` as a T when that is its dynamic type, else nullptr: the type
+  /// check of a same_content override.  One type_info comparison, which is
+  /// cheaper than a dynamic_cast and exact for final payload classes.
+  template <typename T>
+  static const T* as_same_type(const Message& other) {
+    return typeid(other) == typeid(T) ? static_cast<const T*>(&other)
+                                      : nullptr;
   }
 };
 

@@ -79,14 +79,18 @@ TraceStats compute_stats(const RunTrace& trace, Round until_round) {
 
   // Suspicions: a live (this round) sender's round-k message missing from a
   // completing receiver's round-k receipt.
-  for (Round k = 1; k <= horizon; ++k) {
-    std::set<ProcessId> sent_this_round;
-    for (const SendRecord& s : trace.sends()) {
-      if (s.round == k) sent_this_round.insert(s.sender);
+  std::map<Round, std::set<ProcessId>> senders_by_round;
+  for (const SendRecord& s : trace.sends()) {
+    if (s.round >= 1 && s.round <= horizon) {
+      senders_by_round[s.round].insert(s.sender);
     }
+  }
+  const InRoundIndex in_round(trace);
+  for (Round k = 1; k <= horizon; ++k) {
+    const std::set<ProcessId>& sent_this_round = senders_by_round[k];
     for (ProcessId rec = 0; rec < n; ++rec) {
       if (!completes(rec, k)) continue;
-      const ProcessSet got = trace.in_round_senders(rec, k);
+      const ProcessSet got = in_round.senders(rec, k);
       for (ProcessId sender : sent_this_round) {
         if (sender != rec && !got.contains(sender)) ++stats.suspicions;
       }

@@ -70,14 +70,43 @@ bool RunTrace::validity_ok() const {
 }
 
 ProcessSet RunTrace::in_round_senders(ProcessId receiver, Round round) const {
-  ProcessSet s;
-  for (const DeliveryRecord& d : deliveries_) {
-    if (d.receiver == receiver && d.recv_round == round &&
-        d.send_round == round) {
-      s.insert(d.sender);
+  return InRoundIndex(*this).senders(receiver, round);
+}
+
+InRoundIndex::InRoundIndex(const RunTrace& trace) {
+  // About n in-round copies land in each cell.
+  cells_.reserve(trace.deliveries().size() /
+                 static_cast<std::size_t>(std::max(trace.config().n, 1)));
+  for (const DeliveryRecord& d : trace.deliveries()) {
+    if (d.recv_round != d.send_round) continue;
+    if (d.sender < 0 || d.sender >= kMaxProcesses) {
+      odd_.push_back(OddCopy{d.recv_round, d.receiver, d.sender});
+      continue;
+    }
+    cells_[key(d.recv_round, d.receiver)].insert(d.sender);
+  }
+}
+
+ProcessSet InRoundIndex::senders(ProcessId receiver, Round round) const {
+  for (const OddCopy& odd : odd_) {
+    if (odd.round == round && odd.receiver == receiver) {
+      ProcessSet{}.insert(odd.sender);  // throws the range error
     }
   }
-  return s;
+  const auto it = cells_.find(key(round, receiver));
+  return it == cells_.end() ? ProcessSet{} : it->second;
+}
+
+bool InRoundIndex::contains(ProcessId sender, Round round,
+                            ProcessId receiver) const {
+  if (sender < 0 || sender >= kMaxProcesses) {
+    return std::any_of(odd_.begin(), odd_.end(), [&](const OddCopy& odd) {
+      return odd.round == round && odd.receiver == receiver &&
+             odd.sender == sender;
+    });
+  }
+  const auto it = cells_.find(key(round, receiver));
+  return it != cells_.end() && it->second.contains(sender);
 }
 
 std::vector<DeliveryRecord> RunTrace::delivered_to(ProcessId receiver,

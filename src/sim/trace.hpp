@@ -9,9 +9,11 @@
 
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/process_set.hpp"
@@ -167,7 +169,9 @@ class RunTrace {
   bool validity_ok() const;
 
   /// Senders of round-`round` messages received by `receiver` during round
-  /// `round` itself (i.e. the processes `receiver` does NOT suspect).
+  /// `round` itself (i.e. the processes `receiver` does NOT suspect).  One
+  /// query builds an InRoundIndex; callers asking for many (receiver,
+  /// round) pairs build the index once themselves.
   ProcessSet in_round_senders(ProcessId receiver, Round round) const;
 
   /// Everything `receiver` got in the receive phase of `round`.
@@ -193,6 +197,42 @@ class RunTrace {
   std::vector<DecisionRecord> decisions_;
   std::vector<PendingRecord> pending_;
   std::map<ProcessId, Round> halts_;
+};
+
+/// The paper's suspicion relation (Sect. 1.2), indexed once per trace:
+/// for every (round k, receiver r), the processes whose round-k message r
+/// received in round k.  Building it is one pass over the deliveries and
+/// every query is O(1), so loops over every (round, receiver) pair stay
+/// linear in the trace.
+///
+/// The index answers malformed traces exactly as that scan did: a recorded
+/// sender that a ProcessSet cannot hold is kept aside, and senders() throws
+/// the ProcessSet range error for it only when asked about its cell.
+class InRoundIndex {
+ public:
+  explicit InRoundIndex(const RunTrace& trace);
+
+  /// Same as RunTrace::in_round_senders(receiver, round).
+  ProcessSet senders(ProcessId receiver, Round round) const;
+
+  /// True iff `receiver` got `sender`'s round-`round` message in round
+  /// `round`.  Never throws.
+  bool contains(ProcessId sender, Round round, ProcessId receiver) const;
+
+ private:
+  static std::uint64_t key(Round round, ProcessId receiver) {
+    return (std::uint64_t{static_cast<std::uint32_t>(round)} << 32) |
+           static_cast<std::uint32_t>(receiver);
+  }
+
+  struct OddCopy {
+    Round round;
+    ProcessId receiver;
+    ProcessId sender;
+  };
+
+  std::unordered_map<std::uint64_t, ProcessSet> cells_;
+  std::vector<OddCopy> odd_;  ///< in-round copies with unrepresentable senders
 };
 
 }  // namespace indulgence

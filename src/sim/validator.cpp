@@ -11,7 +11,7 @@ namespace {
 
 class Checker {
  public:
-  explicit Checker(const RunTrace& trace) : trace_(trace) {}
+  explicit Checker(const RunTrace& trace) : trace_(trace), in_round_(trace) {}
 
   ValidationReport run() {
     index();
@@ -108,42 +108,45 @@ class Checker {
     std::set<std::tuple<ProcessId, Round, ProcessId>> seen;
     std::map<std::pair<ProcessId, Round>, const DeliveryRecord*> first_copy;
     for (const DeliveryRecord& d : trace_.deliveries()) {
-      std::ostringstream who;
-      who << "message p" << d.sender << "->p" << d.receiver << " (sent@"
-          << d.send_round << ", recv@" << d.recv_round << ")";
+      const auto who = [&d] {
+        std::ostringstream os;
+        os << "message p" << d.sender << "->p" << d.receiver << " (sent@"
+           << d.send_round << ", recv@" << d.recv_round << ")";
+        return os.str();
+      };
       // A copy whose recorded emitter differs from its claimed sender is a
       // forgery; only a budgeted liar may be its emitter.
       if (d.origin >= 0 && d.origin != d.sender && !is_liar(d.origin)) {
-        fail(who.str() + " forged by unbudgeted p" + std::to_string(d.origin));
+        fail(who() + " forged by unbudgeted p" + std::to_string(d.origin));
       }
       if (d.recv_round < d.send_round) {
-        fail(who.str() + " received before being sent");
+        fail(who() + " received before being sent");
       }
       if (!completes_round(d.receiver, d.recv_round)) {
-        fail(who.str() + " received by a crashed process");
+        fail(who() + " received by a crashed process");
       }
       if (is_liar(d.emitter())) continue;  // budgeted: excused below here
       // (A budgeted liar may forge a copy in the receiver's own name and
       // route it through any fate, so the self-delivery timing rule only
       // binds honest emitters.)
       if (d.sender == d.receiver && d.recv_round != d.send_round) {
-        fail(who.str() + " self-delivery must be in-round");
+        fail(who() + " self-delivery must be in-round");
       }
       if (!sent_.count({d.sender, d.send_round})) {
-        fail(who.str() + " received without having been sent");
+        fail(who() + " received without having been sent");
       }
       if (!seen.insert({d.sender, d.send_round, d.receiver}).second) {
-        fail(who.str() + " received more than once");
+        fail(who() + " received more than once");
       }
       // Equivocation: one (sender, send round) broadcast must carry ONE
       // payload to every receiver.  Pointer equality first — the kernel
-      // shares a broadcast's payload, so honest runs never pay for the
-      // describe() comparison.
+      // shares a broadcast's payload — then typed content equality, which
+      // socket-decoded copies need and which renders no describe() string.
       if (d.payload != nullptr) {
         auto [it, inserted] =
             first_copy.try_emplace({d.sender, d.send_round}, &d);
         if (!inserted && it->second->payload != d.payload &&
-            it->second->payload->describe() != d.payload->describe()) {
+            !it->second->payload->same_content(*d.payload)) {
           fail("equivocation by unbudgeted p" + std::to_string(d.sender) +
                ": round-" + std::to_string(d.send_round) +
                " broadcast differs across receivers (" +
@@ -203,7 +206,7 @@ class Checker {
       if (is_liar(s.sender)) continue;  // selective silence is budgeted
       for (ProcessId r = 0; r < trace_.config().n; ++r) {
         if (!completes_round(r, s.round)) continue;
-        if (!delivered_in_round(s.sender, s.round, r)) {
+        if (!in_round_.contains(s.sender, s.round, r)) {
           fail("synchrony: p" + std::to_string(r) + " missed round-" +
                std::to_string(s.round) + " message of live sender p" +
                std::to_string(s.sender));
@@ -212,24 +215,13 @@ class Checker {
     }
   }
 
-  bool delivered_in_round(ProcessId sender, Round round,
-                          ProcessId receiver) const {
-    for (const DeliveryRecord& d : trace_.deliveries()) {
-      if (d.sender == sender && d.send_round == round &&
-          d.receiver == receiver && d.recv_round == round) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   void check_t_resilience() {
     const SystemConfig& cfg = trace_.config();
     for (Round k = 1; k <= trace_.rounds_executed(); ++k) {
       for (ProcessId r = 0; r < cfg.n; ++r) {
         if (!completes_round(r, k)) continue;
         if (is_liar(r)) continue;  // the model owes liars nothing
-        const ProcessSet heard = trace_.in_round_senders(r, k);
+        const ProcessSet heard = in_round_.senders(r, k);
         const int got = heard.size();
         // A silent liar may withhold its copy without spending a crash:
         // the resilience floor only binds what HONEST senders deliver.
@@ -260,6 +252,7 @@ class Checker {
   }
 
   const RunTrace& trace_;
+  const InRoundIndex in_round_;
   ValidationReport report_;
   const ProcessSet byz_ = trace_.byzantine();
 

@@ -19,6 +19,11 @@
 //               for non-crashing senders;
 //             - reliable channels: a message from a correct process to a
 //               correct process is delivered or still pending, never lost.
+//
+// Cost: one pass builds an InRoundIndex (sim/trace.hpp), so the in-round
+// checks are O(1) per (round, receiver) or (send, receiver) pair, and the
+// rest is O(D log D) over D records.  Separately decoded copies of one
+// broadcast are compared with Message::same_content.
 
 #pragma once
 

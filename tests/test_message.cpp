@@ -5,6 +5,7 @@
 #include "consensus/consensus.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
 #include "sim/message.hpp"
 
@@ -49,6 +50,90 @@ TEST(Message, FindDecideNoticeSeesBothKinds) {
   delivery.clear();
   delivery.push_back({2, 1, std::make_shared<DecideMessage>(4)});
   EXPECT_EQ(find_decide_notice(delivery), std::optional<Value>{4});
+}
+
+// --- same_content: typed equality behind the equivocation check ---------
+
+/// same_content in both directions, checked against its contract:
+/// describe() equality.
+bool same(const Message& a, const Message& b) {
+  const bool forward = a.same_content(b);
+  EXPECT_EQ(forward, b.same_content(a)) << a.describe() << " / "
+                                        << b.describe();
+  EXPECT_EQ(forward, a.describe() == b.describe())
+      << a.describe() << " / " << b.describe();
+  return forward;
+}
+
+MessagePtr vote(Value v) {
+  return std::make_shared<At2UnderlyingMessage>(
+      std::make_shared<HrVoteMessage>(v));
+}
+
+std::shared_ptr<RsmBundleMessage> bundle(
+    std::map<int, MessagePtr> parts) {
+  return std::make_shared<RsmBundleMessage>(std::move(parts));
+}
+
+TEST(SameContent, HurfinRaynalMessagesCompareByValue) {
+  EXPECT_TRUE(same(HrCoordMessage(4), HrCoordMessage(4)));
+  EXPECT_FALSE(same(HrCoordMessage(4), HrCoordMessage(5)));
+  EXPECT_TRUE(same(HrVoteMessage(kBottom), HrVoteMessage(kBottom)));
+  EXPECT_FALSE(same(HrVoteMessage(kBottom), HrVoteMessage(4)));
+  EXPECT_FALSE(same(HrVoteMessage(4), HrCoordMessage(4)));
+}
+
+TEST(SameContent, At2MessagesCompareEveryField) {
+  const ProcessSet halt{0, 2};
+  EXPECT_TRUE(same(At2EstimateMessage(3, halt), At2EstimateMessage(3, halt)));
+  EXPECT_FALSE(same(At2EstimateMessage(3, halt), At2EstimateMessage(4, halt)));
+  EXPECT_FALSE(
+      same(At2EstimateMessage(3, halt), At2EstimateMessage(3, ProcessSet{0})));
+  EXPECT_TRUE(same(At2NewEstimateMessage(7), At2NewEstimateMessage(7)));
+  EXPECT_FALSE(same(At2NewEstimateMessage(7), At2NewEstimateMessage(kBottom)));
+  // The wrapper recurses into separately allocated inner payloads.
+  EXPECT_TRUE(same(*vote(2), *vote(2)));
+  EXPECT_FALSE(same(*vote(2), *vote(3)));
+  EXPECT_FALSE(same(*vote(2), At2UnderlyingMessage(
+                                  std::make_shared<HrCoordMessage>(2))));
+  EXPECT_FALSE(same(At2NewEstimateMessage(3), At2EstimateMessage(3, halt)));
+  EXPECT_FALSE(same(At2NewEstimateMessage(3), HrVoteMessage(3)));
+}
+
+TEST(SameContent, DecideAndFillerCompareByValue) {
+  EXPECT_TRUE(same(DecideMessage(9), DecideMessage(9)));
+  EXPECT_FALSE(same(DecideMessage(9), DecideMessage(8)));
+  EXPECT_TRUE(same(FillerMessage(), FillerMessage()));
+  EXPECT_FALSE(same(FillerMessage(), DecideMessage(9)));
+  EXPECT_FALSE(same(DecideMessage(9), HaltedMessage(9)));
+}
+
+TEST(SameContent, RsmBundlesCompareSlotKeysAndPartsPairwise) {
+  const auto make = [] {
+    return bundle({{0, std::make_shared<DecideMessage>(5)}, {1, vote(3)}});
+  };
+  EXPECT_TRUE(same(*make(), *make()));
+  // One part differs.
+  EXPECT_FALSE(same(
+      *make(),
+      *bundle({{0, std::make_shared<DecideMessage>(5)}, {1, vote(4)}})));
+  // Same parts under a different slot key.
+  EXPECT_FALSE(same(
+      *make(),
+      *bundle({{0, std::make_shared<DecideMessage>(5)}, {2, vote(3)}})));
+  // A missing or an extra part.
+  EXPECT_FALSE(same(*make(),
+                    *bundle({{0, std::make_shared<DecideMessage>(5)}})));
+  EXPECT_FALSE(same(*make(), *bundle({{0, std::make_shared<DecideMessage>(5)},
+                                      {1, vote(3)},
+                                      {2, vote(3)}})));
+  EXPECT_TRUE(same(*bundle({}), *bundle({})));
+  EXPECT_FALSE(same(*make(), DecideMessage(5)));
+}
+
+TEST(SameContent, TypesWithoutAnOverrideFallBackToDescribe) {
+  EXPECT_TRUE(same(HaltedMessage(1), HaltedMessage(1)));
+  EXPECT_FALSE(same(HaltedMessage(1), HaltedMessage(2)));
 }
 
 TEST(Harness, RunResultSummaryMentionsEveryProperty) {

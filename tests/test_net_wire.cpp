@@ -321,6 +321,68 @@ TEST(WireV2, Envelope2GoldenBytes) {
   EXPECT_EQ(f->envelope.payload->describe(), env.payload->describe());
 }
 
+TEST(WireV2, FinGoldenBytes) {
+  const std::vector<std::uint8_t> frame = encode_fin(0x0102030405060708ULL);
+  const std::vector<std::uint8_t> golden = {
+      8, 0, 0, 0,              // body length
+      7,                       // frame type Fin
+      8, 7, 6, 5, 4, 3, 2, 1,  // last seq
+  };
+  EXPECT_EQ(frame, golden);
+
+  WireWriter w;
+  EXPECT_EQ(encode_fin_into(0x0102030405060708ULL, w), golden.size());
+  EXPECT_EQ(w.bytes(), golden);
+}
+
+TEST(WireV2, FinSurvivesByteAtATimeFeeding) {
+  // A FIN split across reads, between an ack and a heartbeat: the parser
+  // must hand back all three, in order, whatever the read boundaries.
+  std::vector<std::uint8_t> stream = encode_ack(9);
+  const std::vector<std::uint8_t> fin = encode_fin(41);
+  const std::vector<std::uint8_t> hb = encode_heartbeat();
+  stream.insert(stream.end(), fin.begin(), fin.end());
+  stream.insert(stream.end(), hb.begin(), hb.end());
+
+  FrameParser parser;
+  std::vector<Frame> frames;
+  for (std::uint8_t byte : stream) {
+    parser.feed(&byte, 1);
+    while (std::optional<Frame> f = parser.next()) frames.push_back(*f);
+  }
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].type, FrameType::Ack);
+  EXPECT_EQ(frames[1].type, FrameType::Fin);
+  EXPECT_EQ(frames[1].seq, 41u);
+  EXPECT_EQ(frames[2].type, FrameType::Heartbeat);
+  EXPECT_EQ(parser.buffered(), 0u);
+}
+
+TEST(WireV2, MalformedFinIsRejectedAndParsingContinues) {
+  // A FIN with a truncated seq, then one with a trailing byte: both are
+  // skipped (a peer must never read either as a goodbye), and the valid
+  // FIN behind them still parses.
+  WireWriter bad;
+  bad.u32(4);
+  bad.u8(static_cast<std::uint8_t>(FrameType::Fin));
+  bad.u32(7);
+  bad.u32(9);
+  bad.u8(static_cast<std::uint8_t>(FrameType::Fin));
+  bad.u64(7);
+  bad.u8(0);
+  const std::vector<std::uint8_t> good = encode_fin(12);
+
+  FrameParser parser;
+  parser.feed(bad.bytes().data(), bad.bytes().size());
+  parser.feed(good.data(), good.size());
+  auto frame = parser.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, FrameType::Fin);
+  EXPECT_EQ(frame->seq, 12u);
+  EXPECT_FALSE(parser.next().has_value());
+  EXPECT_FALSE(parser.poisoned());
+}
+
 TEST(WireV2, Envelope2SurvivesByteAtATimeFeeding) {
   NetEnvelope env;
   env.group = 12;
@@ -557,6 +619,9 @@ TEST(WireInto, ControlFramesMatchLegacyBytes) {
   w.clear();
   encode_heartbeat_into(w);
   EXPECT_EQ(w.bytes(), encode_heartbeat());
+  w.clear();
+  encode_fin_into(0xdeadbeefcafeULL, w);
+  EXPECT_EQ(w.bytes(), encode_fin(0xdeadbeefcafeULL));
 }
 
 TEST(WireInto, EnvelopeFramesMatchLegacyBytesForEveryRegistryTag) {

@@ -130,6 +130,53 @@ TEST(Sharded, SurvivesWireChaosWithEveryGroupStillValid) {
   }
 }
 
+TEST(ShardedTeardown, ChaosResetsEndedStopWithinLingerAndStayValid) {
+  // Injected resets leave links reconnecting and redelivering while the
+  // chaos window is open; the RSM runs past it, and at the stop the FIN
+  // exchange must end the teardown well inside linger.
+  ShardedOptions options = base_options(3, 3);
+  options.live.max_rounds = 600;
+  options.live.round_floor = std::chrono::milliseconds{1};
+  options.socket.chaos.seed = 11;
+  options.socket.chaos.until = std::chrono::milliseconds{100};
+  options.socket.chaos.reset_prob = 0.1;
+  options.socket.linger = std::chrono::seconds{2};
+  options.done = [](const RoundAlgorithm& algorithm) {
+    const auto* rep = dynamic_cast<const RsmReplica*>(&algorithm);
+    return rep && rep->all_slots_committed();
+  };
+  std::chrono::steady_clock::time_point epoch;
+  options.on_start = [&epoch](std::chrono::steady_clock::time_point at) {
+    epoch = at;
+  };
+  RsmOptions rsm;
+  rsm.num_slots = 100;  // 200 rounds of at least 1 ms each
+  rsm.slot_window = 2;
+  const int n = options.config.n;
+  const ShardedResult result = run_sharded(
+      options,
+      sharded_rsm_factory(
+          at2(), [](GroupId, ProcessId) { return std::vector<Value>{}; },
+          rsm),
+      [n](GroupId) {
+        return std::vector<Value>(static_cast<std::size_t>(n), kNoOpCommand);
+      });
+  const auto returned = std::chrono::steady_clock::now();
+
+  EXPECT_GT(result.counters.injected_resets, 0) << "chaos never fired";
+  EXPECT_TRUE(result.all_valid());
+  std::chrono::microseconds last_driver{0};
+  for (const auto& [g, outcome] : result.groups) {
+    EXPECT_TRUE(outcome.result.validation.ok())
+        << "group " << g << "\n"
+        << outcome.result.validation.to_string();
+    last_driver = std::max(last_driver, outcome.wall);
+  }
+  ASSERT_GT(last_driver, options.socket.chaos.until);
+  // Teardown plus the per-group merge and validation.
+  EXPECT_LT(returned - (epoch + last_driver), options.socket.linger);
+}
+
 TEST(Sharded, RsmGroupsCommitDisjointHashPartitionedCommandStreams) {
   constexpr int kGroups = 4;
   constexpr int kKeys = 32;

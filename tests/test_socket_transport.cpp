@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -169,11 +170,7 @@ TEST(SocketEndpoint, DeliversBetweenEndpointsAndDedupsBySequence) {
               FloodEstimateMessage(Value{5}).describe());
   }
 
-  std::vector<UndeliveredCopy> rest;
-  for (auto& ep : endpoints) {
-    auto part = ep->stop_and_flush();
-    rest.insert(rest.end(), part.begin(), part.end());
-  }
+  const std::vector<UndeliveredCopy> rest = stop_and_flush_all(endpoints);
   EXPECT_TRUE(rest.empty());
   SocketCounters total;
   for (auto& ep : endpoints) total += ep->counters();
@@ -292,7 +289,7 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
           << "mailbox " << box << " copy " << i;
     }
   }
-  for (auto& ep : endpoints) ep->stop_and_flush();
+  stop_and_flush_all(endpoints);
 
   // The chaos fired, on the one link it was scoped to — and nowhere else.
   const LinkCounters to1 = endpoints[0]->link_counters(1);
@@ -560,11 +557,7 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
-  std::vector<UndeliveredCopy> rest;
-  for (auto& ep : endpoints) {
-    auto part = ep->stop_and_flush();
-    rest.insert(rest.end(), part.begin(), part.end());
-  }
+  const std::vector<UndeliveredCopy> rest = stop_and_flush_all(endpoints);
   EXPECT_TRUE(rest.empty());
   SocketCounters total;
   for (auto& ep : endpoints) total += ep->counters();
@@ -625,11 +618,7 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   SocketCounters total;
-  std::vector<UndeliveredCopy> rest;
-  for (auto& ep : endpoints) {
-    auto part = ep->stop_and_flush();
-    rest.insert(rest.end(), part.begin(), part.end());
-  }
+  const std::vector<UndeliveredCopy> rest = stop_and_flush_all(endpoints);
   for (auto& ep : endpoints) total += ep->counters();
   EXPECT_TRUE(rest.empty());
   EXPECT_GT(total.injected_short_writes, 0) << "dribble path never exercised";
@@ -638,6 +627,145 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
   EXPECT_LT(elapsed, std::chrono::seconds{60});
   endpoints.clear();
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Teardown: endpoints that stop together end on the FIN exchange, not on
+// `linger`; linger only bounds a peer that never says goodbye.
+// ---------------------------------------------------------------------------
+
+/// Three legacy endpoints over UDS or TCP loopback, resolved through their
+/// bound listeners (TCP ports are ephemeral).
+struct TeardownFabric {
+  TeardownFabric(SocketAddress::Kind kind, std::chrono::microseconds linger) {
+    if (kind == SocketAddress::Kind::Unix) dir = fresh_socket_dir();
+    AddressResolver resolve = [this](ProcessId pid)
+        -> std::optional<SocketAddress> {
+      return endpoints[static_cast<std::size_t>(pid)]->listen_address();
+    };
+    for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+      mailboxes.push_back(std::make_unique<Mailbox>(4096));
+      SocketTransportOptions opts;
+      opts.seed = 1100 + static_cast<std::uint64_t>(pid);
+      opts.linger = linger;
+      endpoints.push_back(std::make_unique<SocketEndpoint>(
+          pid, cfg,
+          kind == SocketAddress::Kind::Unix
+              ? SocketAddress::unix_path(dir + "/p" + std::to_string(pid) +
+                                         ".sock")
+              : SocketAddress::tcp_loopback(0),
+          resolve, opts, mailboxes.back().get()));
+    }
+  }
+
+  ~TeardownFabric() {
+    endpoints.clear();
+    if (!dir.empty()) std::filesystem::remove_all(dir);
+  }
+
+  /// Every endpoint in `senders` broadcasts rounds 1..rounds; with `await`
+  /// the call returns once every copy reached its mailbox.
+  void broadcast(const std::vector<ProcessId>& senders, Round rounds,
+                 bool await) {
+    for (Round k = 1; k <= rounds; ++k) {
+      for (ProcessId pid : senders) {
+        endpoints[static_cast<std::size_t>(pid)]->dispatch(
+            pid, k, std::make_shared<FloodEstimateMessage>(Value{k}));
+      }
+    }
+    if (!await) return;
+    for (ProcessId r = 0; r < cfg.n; ++r) {
+      const long expected =
+          rounds * static_cast<long>(senders.size() -
+                                     std::count(senders.begin(),
+                                                senders.end(), r));
+      for (long i = 0; i < expected; ++i) {
+        ASSERT_TRUE(mailboxes[static_cast<std::size_t>(r)]->pop_for(5s))
+            << "p" << r << " copy " << i;
+      }
+    }
+  }
+
+  /// Stops `which` concurrently; returns each stop's duration and appends
+  /// the undelivered copies to `rest`.
+  std::vector<std::chrono::steady_clock::duration> stop_timed(
+      const std::vector<ProcessId>& which, std::vector<UndeliveredCopy>& rest) {
+    std::vector<std::chrono::steady_clock::duration> took(which.size());
+    std::vector<std::vector<UndeliveredCopy>> parts(which.size());
+    std::vector<std::thread> stoppers;
+    for (std::size_t i = 0; i < which.size(); ++i) {
+      stoppers.emplace_back([&, i] {
+        const auto t0 = std::chrono::steady_clock::now();
+        parts[i] =
+            endpoints[static_cast<std::size_t>(which[i])]->stop_and_flush();
+        took[i] = std::chrono::steady_clock::now() - t0;
+      });
+    }
+    for (std::thread& t : stoppers) t.join();
+    for (auto& part : parts) rest.insert(rest.end(), part.begin(), part.end());
+    return took;
+  }
+
+  const SystemConfig cfg{.n = 3, .t = 1};
+  std::string dir;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes;
+  std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
+};
+
+void expect_stop_ends_on_fin(SocketAddress::Kind kind) {
+  // A linger long enough that waiting it out could not pass for a FIN.
+  const std::chrono::microseconds linger = 2s;
+  TeardownFabric fabric(kind, linger);
+  const auto epoch = std::chrono::steady_clock::now();
+  for (auto& ep : fabric.endpoints) ep->start(epoch);
+  fabric.broadcast({0, 1, 2}, 20, /*await=*/true);
+  // A last burst still in flight when the stop begins: the links drain it
+  // before they say FIN.
+  fabric.broadcast({0, 1, 2}, 5, /*await=*/false);
+
+  std::vector<UndeliveredCopy> rest;
+  const auto took = fabric.stop_timed({0, 1, 2}, rest);
+  for (std::size_t i = 0; i < took.size(); ++i) {
+    EXPECT_LT(took[i], linger / 4) << "endpoint " << i;
+  }
+  EXPECT_TRUE(rest.empty()) << rest.size() << " copies left undelivered";
+  SocketCounters total;
+  for (auto& ep : fabric.endpoints) total += ep->counters();
+  EXPECT_EQ(total.envelopes_delivered, 25 * 3 * 2);
+}
+
+TEST(SocketTeardown, ConcurrentUdsStopEndsOnFinNotLinger) {
+  expect_stop_ends_on_fin(SocketAddress::Kind::Unix);
+}
+
+TEST(SocketTeardown, ConcurrentTcpStopEndsOnFinNotLinger) {
+  expect_stop_ends_on_fin(SocketAddress::Kind::Tcp);
+}
+
+TEST(SocketTeardown, PeerThatNeverSaysFinIsBoundedByLinger) {
+  // p2 binds its listener but never starts, like a process that crashed
+  // before teardown: it neither acks nor says FIN.
+  const std::chrono::microseconds linger = 300ms;
+  TeardownFabric fabric(SocketAddress::Kind::Unix, linger);
+  const auto epoch = std::chrono::steady_clock::now();
+  fabric.endpoints[0]->start(epoch);
+  fabric.endpoints[1]->start(epoch);
+  fabric.broadcast({0, 1}, 3, /*await=*/false);
+  for (ProcessId r : {0, 1}) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(fabric.mailboxes[static_cast<std::size_t>(r)]->pop_for(5s));
+    }
+  }
+
+  std::vector<UndeliveredCopy> rest;
+  const auto took = fabric.stop_timed({0, 1}, rest);
+  for (std::size_t i = 0; i < took.size(); ++i) {
+    EXPECT_GE(took[i], linger) << "endpoint " << i;
+    EXPECT_LT(took[i], linger + 2s) << "endpoint " << i;
+  }
+  // Only the copies addressed to the silent peer stay undelivered.
+  EXPECT_EQ(rest.size(), 6u);
+  for (const UndeliveredCopy& copy : rest) EXPECT_EQ(copy.receiver, 2);
 }
 
 TEST(SocketHub, At2RunsOverSocketsToo) {

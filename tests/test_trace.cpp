@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "common/table.hpp"
 #include "sim/trace.hpp"
@@ -72,6 +73,50 @@ TEST(Trace, InRoundSendersFiltersDelayed) {
   EXPECT_EQ(trace.in_round_senders(2, 1), (ProcessSet{0}));
   EXPECT_TRUE(trace.in_round_senders(2, 2).empty());
   EXPECT_EQ(trace.delivered_to(2, 2).size(), 1u);
+}
+
+TEST(InRoundIndex, AnswersEveryCellOfAMixedTrace) {
+  RunTrace trace(kCfg, Model::ES, 3);
+  trace.set_rounds_executed(3);
+  trace.record_delivery({1, 0, 0, 1, nullptr});
+  trace.record_delivery({1, 0, 2, 1, nullptr});
+  trace.record_delivery({2, 0, 1, 1, nullptr});  // delayed: not in-round
+  trace.record_delivery({2, 0, 1, 2, nullptr});
+  trace.record_delivery({3, 3, 3, 3, nullptr});
+  trace.record_delivery({3, 3, 3, 3, nullptr});  // duplicate copy
+  trace.record_delivery({7, 9, 5, 7, nullptr});  // outside round and system
+  const InRoundIndex index(trace);
+  EXPECT_EQ(index.senders(0, 1), (ProcessSet{0, 2}));
+  EXPECT_EQ(index.senders(0, 2), (ProcessSet{1}));
+  EXPECT_EQ(index.senders(3, 3), (ProcessSet{3}));
+  EXPECT_EQ(index.senders(9, 7), (ProcessSet{5}));
+  EXPECT_TRUE(index.senders(1, 1).empty());
+  EXPECT_TRUE(index.senders(0, 4).empty());
+  EXPECT_TRUE(index.contains(2, 1, 0));
+  EXPECT_FALSE(index.contains(1, 1, 0));
+  EXPECT_TRUE(index.contains(5, 7, 9));
+  EXPECT_FALSE(index.contains(-1, 1, 0));
+  for (ProcessId r = 0; r < kCfg.n; ++r) {
+    for (Round k = 0; k <= 4; ++k) {
+      EXPECT_EQ(trace.in_round_senders(r, k), index.senders(r, k))
+          << "p" << r << " round " << k;
+    }
+  }
+}
+
+TEST(InRoundIndex, UnrepresentableSenderThrowsOnlyForItsCell) {
+  RunTrace trace(kCfg, Model::ES, 1);
+  trace.set_rounds_executed(2);
+  trace.record_delivery({1, 0, 1, 1, nullptr});
+  trace.record_delivery({1, 0, 64, 1, nullptr});
+  trace.record_delivery({2, 1, -2, 1, nullptr});  // delayed: never indexed
+  const InRoundIndex index(trace);
+  EXPECT_THROW(index.senders(0, 1), std::out_of_range);
+  EXPECT_THROW(trace.in_round_senders(0, 1), std::out_of_range);
+  EXPECT_TRUE(index.senders(1, 2).empty());
+  EXPECT_TRUE(index.contains(64, 1, 0));
+  EXPECT_FALSE(index.contains(-2, 1, 1));
+  EXPECT_TRUE(index.contains(1, 1, 0));
 }
 
 TEST(Trace, ToStringMentionsKeyEvents) {
