@@ -28,6 +28,7 @@
 #include "consensus/floodset.hpp"
 #include "core/af2.hpp"
 #include "lb/explorer.hpp"
+#include "net/sharded_runtime.hpp"
 #include "net/socket_transport.hpp"
 #include "net/wire.hpp"
 #include "rsm/rsm.hpp"
@@ -137,12 +138,14 @@ LoadedLinkStats measure_loaded_link(int envelopes) {
         std::make_unique<Mailbox>(static_cast<std::size_t>(envelopes) + 64));
     SocketTransportOptions opts;
     opts.seed = 900 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        pid, cfg, addrs, opts, mailboxes.back().get()));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.back()->add_group(GroupSpec{0, cfg, pid,
+                                          group_placement(0, cfg.n, cfg.n),
+                                          mailboxes.back().get()});
   }
   for (int i = 0; i < envelopes; ++i) {
-    endpoints[0]->dispatch(0, 1,
-                           std::make_shared<FloodEstimateMessage>(Value{i}));
+    endpoints[0]->dispatch_group(
+        0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{i}));
   }
   const auto epoch = std::chrono::steady_clock::now();
   for (auto& ep : endpoints) ep->start(epoch);

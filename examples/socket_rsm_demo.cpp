@@ -5,7 +5,8 @@
 //
 //   $ ./socket_rsm_demo [--n N] [--tcp] [--chaos]
 //
-// Each replica process runs a fixed-rounds round driver (there is no shared
+// Each replica process is a ShardedNode hosting the one group's replica on
+// its node: it runs a fixed-rounds round driver (there is no shared
 // memory, so the round count is agreed a priori), commits a 6-command
 // replicated log, and ships its per-process binary trace log plus its
 // committed log to disk.  The launcher waits for every child, merges the
@@ -34,8 +35,7 @@
 #include "common/table.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
-#include "net/round_driver.hpp"
-#include "net/socket_transport.hpp"
+#include "net/sharded_runtime.hpp"
 #include "net/trace_ship.hpp"
 #include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
@@ -128,51 +128,20 @@ int run_node(const DemoArgs& args) {
     socket_options.chaos = chaos;
   }
 
-  Mailbox mailbox(static_cast<std::size_t>(cfg.n) *
-                  (static_cast<std::size_t>(kRounds) + 8));
-  SocketEndpoint endpoint(self, cfg, addresses_of(args), socket_options,
-                          &mailbox);
-  RunControl control(cfg);
-  control.on_stop = [&endpoint] { endpoint.expedite(); };
-  endpoint.start(std::chrono::steady_clock::now());
+  const std::vector<SocketAddress> addresses = addresses_of(args);
+  AddressResolver resolve = [addresses](ProcessId node)
+      -> std::optional<SocketAddress> {
+    return addresses[static_cast<std::size_t>(node)];
+  };
+  ShardedNode node(self, cfg.n, addresses[static_cast<std::size_t>(self)],
+                   resolve, socket_options, options);
+  node.host(0, cfg, self, group_placement(0, cfg.n, cfg.n), demo_factory(),
+            100 * (self + 1));
+  const std::vector<ShippedLog> shipped = node.run(kRounds);
+  write_shipped_log(shipped_path(args, self), shipped.front());
 
-  DriverContext ctx;
-  ctx.self = self;
-  ctx.config = cfg;
-  ctx.options = &options;
-  ctx.transport = &endpoint;
-  ctx.mailbox = &mailbox;
-  ctx.control = &control;
-  ctx.supervision = &endpoint;
-  ctx.fixed_rounds = kRounds;
-  ctx.factory = demo_factory();
-  ctx.proposal = 100 * (self + 1);
-  ctx.epoch = std::chrono::steady_clock::now();
-  RoundDriver driver(std::move(ctx));
-  driver.run();
-  if (driver.error()) {
-    try {
-      std::rethrow_exception(driver.error());
-    } catch (const std::exception& e) {
-      std::cerr << "replica " << self << ": " << e.what() << "\n";
-    }
-    return 1;
-  }
-
-  ShippedLog shipped;
-  shipped.self = self;
-  shipped.config = cfg;
-  shipped.log = std::move(driver.log());
-  shipped.undelivered = endpoint.stop_and_flush();
-  for (NetEnvelope& env : mailbox.drain()) {
-    shipped.undelivered.push_back(
-        UndeliveredCopy{env.sender, self, env.send_round, env.target_round});
-  }
-  shipped.counters = endpoint.counters();
-  write_shipped_log(shipped_path(args, self), shipped);
-
-  const std::unique_ptr<RoundAlgorithm> algorithm = driver.take_algorithm();
-  const auto* rep = dynamic_cast<const RsmReplica*>(algorithm.get());
+  const auto* rep =
+      dynamic_cast<const RsmReplica*>(node.algorithms().front().get());
   std::ofstream committed(committed_path(args, self), std::ios::trunc);
   for (int s = 0; rep && s < kSlots; ++s) {
     committed << rep->log()[static_cast<std::size_t>(s)].value_or(
@@ -182,8 +151,7 @@ int run_node(const DemoArgs& args) {
   if (!rep || !rep->all_slots_committed()) {
     std::cerr << "replica " << self << ": only "
               << (rep ? rep->committed_prefix() : 0) << "/" << kSlots
-              << " slots committed after " << shipped.log.completed
-              << " rounds\n";
+              << " slots committed after " << kRounds << " rounds\n";
     return 1;
   }
   return committed ? 0 : 1;

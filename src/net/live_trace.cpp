@@ -5,6 +5,8 @@
 #include <set>
 #include <tuple>
 
+#include "sim/validator.hpp"
+
 namespace indulgence {
 
 RunTrace merge_process_logs(const LiveMergeInput& input) {
@@ -115,6 +117,18 @@ RunTrace merge_process_logs(const LiveMergeInput& input) {
 
   if (input.gst_hint <= 0) trace.set_gst(minimal_conforming_gst(trace));
   return trace;
+}
+
+RunResult merge_and_check(const LiveMergeInput& input) {
+  RunResult result;
+  result.trace = merge_process_logs(input);
+  result.validation = validate_trace(result.trace);
+  result.global_decision_round = result.trace.global_decision_round();
+  result.agreement = result.trace.agreement_ok();
+  result.validity = result.trace.validity_ok();
+  result.termination =
+      result.trace.terminated() && result.trace.all_correct_decided();
+  return result;
 }
 
 Round minimal_conforming_gst(const RunTrace& trace) {

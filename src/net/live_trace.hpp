@@ -24,6 +24,7 @@
 #include "common/types.hpp"
 #include "net/round_driver.hpp"
 #include "net/transport.hpp"
+#include "sim/harness.hpp"
 #include "sim/trace.hpp"
 
 namespace indulgence {
@@ -46,6 +47,11 @@ struct LiveMergeInput {
 };
 
 RunTrace merge_process_logs(const LiveMergeInput& input);
+
+/// Merges the logs and checks the merged trace: the validator's report and
+/// the consensus properties, as one RunResult.  LiveRuntime, run_sharded
+/// and ship_and_merge all end here.
+RunResult merge_and_check(const LiveMergeInput& input);
 
 /// The smallest round K such that check_synchronous_delivery(K) passes:
 /// from K on, every message of a sender that does not crash in its send

@@ -91,7 +91,7 @@ struct LiveOptions {
   /// applies to the liars' outgoing copies — same output-mutation model as
   /// the lockstep kernel: the liar runs the honest algorithm, the fan-out
   /// rewrites what leaves it, and self-delivery is never affected.  Works
-  /// under both the in-process router and the socket hub.
+  /// under both the in-process router and the socket fabric.
   std::vector<ByzantineInjection> byzantine;
 
   /// Declared liar budget b (3b < n), stamped into the merged trace so the

@@ -59,9 +59,9 @@ LiveOptions random_lossy_live_options(const SystemConfig& config, Rng& rng,
                                       const LiveGenOptions& gen = {});
 
 /// A LiveOptions draw for the SOCKET campaign: the valid profile minus the
-/// router-only fields (partitions are a LiveRouter feature the socket hub
-/// would silently ignore, so they are cleared rather than misleadingly
-/// carried along).  Crashes stay — the round driver injects those above the
+/// router-only fields (partitions are a LiveRouter feature the socket
+/// fabric would silently ignore, so they are cleared rather than
+/// misleadingly carried along).  Crashes stay — the round driver injects those above the
 /// transport.  The wire replaces loss with chaos: see random_wire_chaos.
 LiveOptions random_socket_live_options(const SystemConfig& config, Rng& rng,
                                        const LiveGenOptions& gen = {});

@@ -413,4 +413,30 @@ void RoundDriver::run_impl() {
   }
 }
 
+std::size_t mailbox_capacity_for(const LiveOptions& options, int n) {
+  return std::max(options.mailbox_capacity,
+                  static_cast<std::size_t>(n) *
+                      (static_cast<std::size_t>(options.max_rounds) + 8));
+}
+
+std::exception_ptr pick_error(
+    const std::vector<std::unique_ptr<RoundDriver>>& drivers) {
+  std::exception_ptr fallback;
+  for (const auto& driver : drivers) {
+    std::exception_ptr error = driver->error();
+    if (!error) continue;
+    if (!fallback) fallback = error;
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& ex) {
+      if (std::string(ex.what()).find("aborted") == std::string::npos) {
+        return error;
+      }
+    } catch (...) {
+      return error;
+    }
+  }
+  return fallback;
+}
+
 }  // namespace indulgence

@@ -216,4 +216,15 @@ class RoundDriver {
   bool reported_done_ = false;
 };
 
+/// Mailbox size that fits a whole run: a process is sent at most n - 1
+/// copies per round, so producers never block on a consumer that already
+/// exited.  Never below options.mailbox_capacity.
+std::size_t mailbox_capacity_for(const LiveOptions& options, int n);
+
+/// The root-cause failure among `drivers`, preferred over the cascade of
+/// "aborted by peer failure" errors an abort fans out to the others; null
+/// when every driver finished cleanly.
+std::exception_ptr pick_error(
+    const std::vector<std::unique_ptr<RoundDriver>>& drivers);
+
 }  // namespace indulgence

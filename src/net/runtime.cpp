@@ -12,35 +12,9 @@
 #include "net/round_driver.hpp"
 #include "net/router.hpp"
 #include "net/script.hpp"
-#include "sim/validator.hpp"
+#include "net/sharded_runtime.hpp"
 
 namespace indulgence {
-
-namespace {
-
-/// Prefer a root-cause error over the cascade of "replay aborted by peer
-/// failure" errors the abort fans out to the other drivers.
-std::exception_ptr pick_error(
-    const std::vector<std::unique_ptr<RoundDriver>>& drivers) {
-  std::exception_ptr fallback;
-  for (const auto& driver : drivers) {
-    std::exception_ptr error = driver->error();
-    if (!error) continue;
-    if (!fallback) fallback = error;
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& ex) {
-      if (std::string(ex.what()).find("aborted") == std::string::npos) {
-        return error;
-      }
-    } catch (...) {
-      return error;
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
 
 LiveRuntime::LiveRuntime(SystemConfig config, LiveOptions options)
     : config_(config), options_(std::move(options)) {
@@ -92,51 +66,49 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
         "live runtime: Byzantine budget needs 3b < n");
   }
 
-  // Size mailboxes so that a whole run fits: a process can be sent at most
-  // n - 1 copies per round, so producers never block on a consumer that
-  // already exited.
-  const std::size_t capacity =
-      std::max(options_.mailbox_capacity,
-               static_cast<std::size_t>(config_.n) *
-                   (static_cast<std::size_t>(options_.max_rounds) + 8));
+  const std::size_t capacity = mailbox_capacity_for(options_, config_.n);
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
   mailboxes.reserve(static_cast<std::size_t>(config_.n));
   for (int i = 0; i < config_.n; ++i) {
     mailboxes.push_back(std::make_unique<Mailbox>(capacity));
   }
 
+  // One transport per mode.  Over sockets the run is group 0 on n nodes of
+  // a LocalFabric (identity placement), and each driver talks to its own
+  // node through a GroupPort.
   std::optional<ScriptView> script;
   std::unique_ptr<ScriptTransport> script_transport;
-  std::unique_ptr<SupervisedTransport> supervised;
-  Transport* transport = nullptr;
+  std::unique_ptr<LiveRouter> router;
+  std::optional<LocalFabric> fabric;
+  std::vector<std::unique_ptr<GroupPort>> ports;
   if (schedule) {
     script.emplace(config_, *schedule);
     script_transport =
         std::make_unique<ScriptTransport>(config_, *schedule, mailboxes);
-    transport = script_transport.get();
   } else if (socket_kind_) {
     SocketTransportOptions socket_options = socket_options_;
     if (socket_options.byzantine.empty()) {
       socket_options.byzantine = options_.byzantine;
     }
-    supervised = std::make_unique<SocketHub>(config_, *socket_kind_,
-                                             std::move(socket_options),
-                                             mailboxes);
-    transport = supervised.get();
+    fabric.emplace(config_.n, *socket_kind_, socket_options);
+    ports = fabric->add_group(0, config_, mailboxes);
   } else {
-    supervised = std::make_unique<LiveRouter>(config_, options_, mailboxes);
-    transport = supervised.get();
+    router = std::make_unique<LiveRouter>(config_, options_, mailboxes);
   }
 
   RunControl control(config_);
   PulseBoard pulses;  // the group's shared pacemaker signal (in-process)
-  if (supervised) {
-    SupervisedTransport* raw = supervised.get();
-    control.on_stop = [raw] { raw->expedite(); };
+  if (router) {
+    control.on_stop = [raw = router.get()] { raw->expedite(); };
+  } else if (fabric) {
+    control.on_stop = [&ports] {
+      for (auto& port : ports) port->expedite();
+    };
   }
 
   const auto epoch = std::chrono::steady_clock::now();
-  if (supervised) supervised->start(epoch);
+  if (router) router->start(epoch);
+  if (fabric) fabric->start(epoch);
   if (start_hook_) start_hook_(epoch);
 
   std::vector<std::unique_ptr<RoundDriver>> drivers;
@@ -146,11 +118,17 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
     ctx.self = pid;
     ctx.config = config_;
     ctx.options = &options_;
-    ctx.transport = transport;
+    // Scripted drivers use the one transport that needs no supervision.
+    ctx.supervision =
+        fabric ? static_cast<SupervisedTransport*>(
+                     ports[static_cast<std::size_t>(pid)].get())
+               : router.get();
+    ctx.transport = ctx.supervision
+                        ? static_cast<Transport*>(ctx.supervision)
+                        : script_transport.get();
     ctx.mailbox = mailboxes[static_cast<std::size_t>(pid)].get();
     ctx.control = &control;
     ctx.script = script ? &*script : nullptr;
-    ctx.supervision = supervised.get();
     ctx.pulses = script ? nullptr : &pulses;
     ctx.factory = factory;
     ctx.proposal = proposals[static_cast<std::size_t>(pid)];
@@ -167,11 +145,11 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
   }
   for (std::thread& t : threads) t.join();
 
-  std::vector<UndeliveredCopy> undelivered =
-      supervised ? supervised->stop_and_flush()
-                 : std::vector<UndeliveredCopy>{};
-  if (auto* hub = dynamic_cast<SocketHub*>(supervised.get())) {
-    socket_counters_ = hub->counters();
+  std::vector<UndeliveredCopy> undelivered;
+  if (router) undelivered = router->stop_and_flush();
+  if (fabric) {
+    undelivered = fabric->stop_and_flush();
+    socket_counters_ = fabric->counters();
   }
   for (ProcessId pid = 0; pid < config_.n; ++pid) {
     for (NetEnvelope& env :
@@ -192,8 +170,10 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
     logs.push_back(std::move(driver->log()));
     algorithms_.push_back(driver->take_algorithm());
   }
-  dropped_ = supervised ? supervised->dropped_copies()
-                        : script_transport->dropped_copies();
+  // Sockets never drop a copy: their channels are reliable.
+  dropped_ = router             ? router->dropped_copies()
+             : script_transport ? script_transport->dropped_copies()
+                                : 0;
 
   LiveMergeInput merge;
   merge.config = config_;
@@ -204,16 +184,7 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
   merge.undelivered = std::move(undelivered);
   merge.byzantine = declared_liars;
   merge.byzantine_budget = budget;
-
-  RunResult result;
-  result.trace = merge_process_logs(merge);
-  result.validation = validate_trace(result.trace);
-  result.global_decision_round = result.trace.global_decision_round();
-  result.agreement = result.trace.agreement_ok();
-  result.validity = result.trace.validity_ok();
-  result.termination =
-      result.trace.terminated() && result.trace.all_correct_decided();
-  return result;
+  return merge_and_check(merge);
 }
 
 RunResult run_live(SystemConfig config, const LiveOptions& options,

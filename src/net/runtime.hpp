@@ -40,8 +40,9 @@ class LiveRuntime {
   using StartHook = std::function<void(std::chrono::steady_clock::time_point)>;
   void set_start_hook(StartHook hook) { start_hook_ = std::move(hook); }
 
-  /// Routes live runs over real sockets (a SocketHub — one endpoint per
-  /// process, UDS or TCP loopback) instead of the fault-injecting router.
+  /// Routes live runs over real sockets (group 0 of a LocalFabric — one
+  /// endpoint per process, UDS or TCP loopback) instead of the
+  /// fault-injecting router.
   /// The router's latency/loss/partition knobs do not apply; wire chaos in
   /// `socket_options.chaos` takes their place.  Scripted replays are
   /// unaffected.

@@ -11,64 +11,8 @@
 #include "common/thread_pool.hpp"
 #include "net/live_trace.hpp"
 #include "net/round_driver.hpp"
-#include "sim/validator.hpp"
 
 namespace indulgence {
-
-namespace {
-
-/// Prefer a root-cause error over the cascade of "aborted by peer failure"
-/// errors an abort fans out to the other drivers of the same group.
-std::exception_ptr pick_error(
-    const std::vector<std::unique_ptr<RoundDriver>>& drivers) {
-  std::exception_ptr fallback;
-  for (const auto& driver : drivers) {
-    std::exception_ptr error = driver->error();
-    if (!error) continue;
-    if (!fallback) fallback = error;
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& ex) {
-      if (std::string(ex.what()).find("aborted") == std::string::npos) {
-        return error;
-      }
-    } catch (...) {
-      return error;
-    }
-  }
-  return fallback;
-}
-
-RunResult merge_group(const SystemConfig& config, bool terminated,
-                      std::vector<ProcessLog>& logs,
-                      std::vector<UndeliveredCopy> undelivered,
-                      const std::vector<ByzantineInjection>& byzantine) {
-  LiveMergeInput merge;
-  merge.config = config;
-  merge.model = Model::ES;
-  merge.gst_hint = 0;  // derive the minimal conforming GST per group
-  merge.terminated = terminated;
-  merge.logs = &logs;
-  merge.undelivered = std::move(undelivered);
-  // The socket fabric applies the same plan inside every group, so every
-  // group's merged trace gets the same liar stamp.
-  for (const ByzantineInjection& b : byzantine) {
-    merge.byzantine.insert(b.event.liar);
-  }
-  merge.byzantine_budget = merge.byzantine.size();
-
-  RunResult result;
-  result.trace = merge_process_logs(merge);
-  result.validation = validate_trace(result.trace);
-  result.global_decision_round = result.trace.global_decision_round();
-  result.agreement = result.trace.agreement_ok();
-  result.validity = result.trace.validity_ok();
-  result.termination =
-      result.trace.terminated() && result.trace.all_correct_decided();
-  return result;
-}
-
-}  // namespace
 
 GroupId group_for_key(std::uint64_t key, int num_groups) {
   if (num_groups <= 0) {
@@ -110,14 +54,93 @@ bool ShardedResult::all_valid() const {
          });
 }
 
+LocalFabric::LocalFabric(int num_nodes, SocketAddress::Kind kind,
+                         const SocketTransportOptions& socket) {
+  if (kind == SocketAddress::Kind::Unix) {
+    std::string tmpl = (std::filesystem::temp_directory_path() /
+                        "indulgence-fabric-XXXXXX")
+                           .string();
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error("local fabric: mkdtemp failed");
+    }
+    dir_ = tmpl;
+  }
+  // Every listener binds in its constructor, so the resolver hands out
+  // final addresses (TCP ephemeral ports included) before any start().
+  AddressResolver resolve = [this](ProcessId node)
+      -> std::optional<SocketAddress> {
+    return endpoints_[static_cast<std::size_t>(node)]->listen_address();
+  };
+  endpoints_.reserve(static_cast<std::size_t>(num_nodes));
+  for (int node = 0; node < num_nodes; ++node) {
+    SocketAddress listen =
+        kind == SocketAddress::Kind::Unix
+            ? SocketAddress::unix_path(dir_ + "/node" + std::to_string(node) +
+                                       ".sock")
+            : SocketAddress::tcp_loopback(0);
+    SocketTransportOptions per = socket;
+    per.seed = socket.seed + static_cast<std::uint64_t>(node) * 1337;
+    endpoints_.push_back(std::make_unique<SocketEndpoint>(
+        node, num_nodes, std::move(listen), resolve, std::move(per)));
+  }
+}
+
+LocalFabric::~LocalFabric() {
+  stop_and_flush();
+  endpoints_.clear();  // unlink socket files before removing the directory
+  if (!dir_.empty()) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+}
+
+std::vector<std::unique_ptr<GroupPort>> LocalFabric::add_group(
+    GroupId group, SystemConfig config,
+    const std::vector<std::unique_ptr<Mailbox>>& inboxes) {
+  const std::vector<int> members = group_placement(
+      group, config.n, static_cast<int>(endpoints_.size()));
+  std::vector<std::unique_ptr<GroupPort>> ports;
+  for (ProcessId pid = 0; pid < config.n; ++pid) {
+    SocketEndpoint* host =
+        endpoints_[static_cast<std::size_t>(
+                       members[static_cast<std::size_t>(pid)])]
+            .get();
+    host->add_group(GroupSpec{group, config, pid, members,
+                              inboxes[static_cast<std::size_t>(pid)].get()});
+    ports.push_back(std::make_unique<GroupPort>(host, group));
+  }
+  return ports;
+}
+
+void LocalFabric::start(std::chrono::steady_clock::time_point epoch) {
+  for (auto& endpoint : endpoints_) endpoint->start(epoch);
+}
+
+std::vector<UndeliveredCopy> LocalFabric::stop_and_flush() {
+  return stop_and_flush_all(endpoints_);
+}
+
+SocketCounters LocalFabric::counters() const {
+  SocketCounters total;
+  for (const auto& endpoint : endpoints_) total += endpoint->counters();
+  return total;
+}
+
+GroupCounters LocalFabric::group_counters(GroupId group) const {
+  GroupCounters total;  // endpoints not hosting the group add zeros
+  for (const auto& endpoint : endpoints_) {
+    total += endpoint->group_counters(group);
+  }
+  return total;
+}
+
 ShardedResult run_sharded(const ShardedOptions& options,
                           const GroupFactory& factory_for,
                           const GroupProposals& proposals_for) {
   const SystemConfig config = options.config;
   config.validate();
-  const int nodes = options.num_nodes;
   const int groups = options.num_groups;
-  if (nodes < config.n) {
+  if (options.num_nodes < config.n) {
     throw std::invalid_argument(
         "sharded: need at least n nodes for distinct placement");
   }
@@ -125,60 +148,21 @@ ShardedResult run_sharded(const ShardedOptions& options,
     throw std::invalid_argument("sharded: need at least one group");
   }
 
-  // Unix-domain endpoints live under a fresh temp directory.
-  std::string dir;
-  if (options.kind == SocketAddress::Kind::Unix) {
-    std::string tmpl = (std::filesystem::temp_directory_path() /
-                        "indulgence-shard-XXXXXX")
-                           .string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("sharded: mkdtemp failed");
-    }
-    dir = tmpl;
-  }
+  LocalFabric fabric(options.num_nodes, options.kind, options.socket);
+  const std::size_t capacity = mailbox_capacity_for(options.live, config.n);
 
-  std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
-  AddressResolver resolve = [&endpoints](ProcessId node)
-      -> std::optional<SocketAddress> {
-    return endpoints[static_cast<std::size_t>(node)]->listen_address();
-  };
-  endpoints.reserve(static_cast<std::size_t>(nodes));
-  for (int node = 0; node < nodes; ++node) {
-    SocketAddress listen =
-        options.kind == SocketAddress::Kind::Unix
-            ? SocketAddress::unix_path(dir + "/node" + std::to_string(node) +
-                                       ".sock")
-            : SocketAddress::tcp_loopback(0);
-    SocketTransportOptions per = options.socket;
-    per.seed = options.socket.seed + static_cast<std::uint64_t>(node) * 1337;
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        node, nodes, std::move(listen), resolve, std::move(per)));
-  }
-
-  const std::size_t capacity =
-      std::max(options.live.mailbox_capacity,
-               static_cast<std::size_t>(config.n) *
-                   (static_cast<std::size_t>(options.live.max_rounds) + 8));
-
-  // Register every group's replicas with their hosting endpoints and build
+  // Register every group's replicas with their hosting endpoints and keep
   // the per-replica GroupPort views the (unchanged) drivers will use.
   std::vector<std::vector<std::unique_ptr<Mailbox>>> mailboxes(
       static_cast<std::size_t>(groups));
-  std::vector<std::vector<std::unique_ptr<GroupPort>>> ports(
-      static_cast<std::size_t>(groups));
+  std::vector<std::vector<std::unique_ptr<GroupPort>>> ports;
+  ports.reserve(static_cast<std::size_t>(groups));
   for (GroupId g = 0; g < groups; ++g) {
-    const std::vector<int> members = group_placement(g, config.n, nodes);
     auto& boxes = mailboxes[static_cast<std::size_t>(g)];
-    auto& group_ports = ports[static_cast<std::size_t>(g)];
     for (ProcessId pid = 0; pid < config.n; ++pid) {
       boxes.push_back(std::make_unique<Mailbox>(capacity));
-      SocketEndpoint* host =
-          endpoints[static_cast<std::size_t>(
-                        members[static_cast<std::size_t>(pid)])]
-              .get();
-      host->add_group(GroupSpec{g, config, pid, members, boxes.back().get()});
-      group_ports.push_back(std::make_unique<GroupPort>(host, g));
     }
+    ports.push_back(fabric.add_group(g, config, boxes));
   }
 
   std::vector<std::unique_ptr<RunControl>> controls;
@@ -195,7 +179,7 @@ ShardedResult run_sharded(const ShardedOptions& options,
   }
 
   const auto epoch = std::chrono::steady_clock::now();
-  for (auto& endpoint : endpoints) endpoint->start(epoch);
+  fabric.start(epoch);
   if (options.on_start) options.on_start(epoch);
 
   std::vector<std::vector<std::unique_ptr<RoundDriver>>> drivers(
@@ -257,7 +241,7 @@ ShardedResult run_sharded(const ShardedOptions& options,
   // Every returned copy carries its owning group.
   std::vector<std::vector<UndeliveredCopy>> undelivered(
       static_cast<std::size_t>(groups));
-  for (UndeliveredCopy& copy : stop_and_flush_all(endpoints)) {
+  for (UndeliveredCopy& copy : fabric.stop_and_flush()) {
     undelivered[static_cast<std::size_t>(copy.group)].push_back(copy);
   }
   for (GroupId g = 0; g < groups; ++g) {
@@ -287,28 +271,33 @@ ShardedResult run_sharded(const ShardedOptions& options,
           driver->take_algorithm());
     }
   }
+  // The socket fabric applies the same plan inside every group, so every
+  // group's merged trace gets the same liar stamp.
+  ProcessSet liars;
+  for (const ByzantineInjection& b : options.socket.byzantine) {
+    liars.insert(b.event.liar);
+  }
   // Groups are independent, so each merge + validation is one pool task
   // writing only its own slot: the outcomes do not depend on the job count.
   parallel_for_chunked(
       groups, 1, default_campaign().resolved_jobs(),
       [&](long index, long, long) {
         const auto g = static_cast<std::size_t>(index);
-        const bool terminated = options.fixed_rounds > 0 ||
-                                controls[g]->completed_normally();
-        outcomes[g].result =
-            merge_group(config, terminated, logs[g],
-                        std::move(undelivered[g]), options.socket.byzantine);
+        LiveMergeInput merge;
+        merge.config = config;
+        merge.terminated = options.fixed_rounds > 0 ||
+                           controls[g]->completed_normally();
+        merge.logs = &logs[g];
+        merge.undelivered = std::move(undelivered[g]);
+        merge.byzantine = liars;
+        merge.byzantine_budget = liars.size();
+        outcomes[g].result = merge_and_check(merge);
       });
 
   ShardedResult result;
   for (GroupId g = 0; g < groups; ++g) {
     GroupOutcome& outcome = outcomes[static_cast<std::size_t>(g)];
-    const std::vector<int> members = group_placement(g, config.n, nodes);
-    for (ProcessId pid = 0; pid < config.n; ++pid) {
-      outcome.traffic += endpoints[static_cast<std::size_t>(
-                                       members[static_cast<std::size_t>(pid)])]
-                             ->group_counters(g);
-    }
+    outcome.traffic = fabric.group_counters(g);
     auto last = epoch;
     for (const auto& at : done_at[static_cast<std::size_t>(g)]) {
       last = std::max(last, at);
@@ -317,15 +306,7 @@ ShardedResult run_sharded(const ShardedOptions& options,
         last - epoch);
     result.groups.emplace(g, std::move(outcome));
   }
-  for (const auto& endpoint : endpoints) {
-    result.counters += endpoint->counters();
-  }
-
-  endpoints.clear();  // unlink socket files before removing the directory
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-  }
+  result.counters = fabric.counters();
   return result;
 }
 
@@ -344,17 +325,14 @@ ShardedNode::ShardedNode(int node, int num_nodes, SocketAddress listen,
 void ShardedNode::host(GroupId group, SystemConfig config, ProcessId self,
                        std::vector<int> members, AlgorithmFactory factory,
                        Value proposal) {
-  const std::size_t capacity =
-      std::max(live_.mailbox_capacity,
-               static_cast<std::size_t>(config.n) *
-                   (static_cast<std::size_t>(live_.max_rounds) + 8));
   Hosted hosted;
   hosted.group = group;
   hosted.config = config;
   hosted.self = self;
   hosted.factory = std::move(factory);
   hosted.proposal = proposal;
-  hosted.mailbox = std::make_unique<Mailbox>(capacity);
+  hosted.mailbox =
+      std::make_unique<Mailbox>(mailbox_capacity_for(live_, config.n));
   endpoint_->add_group(
       GroupSpec{group, config, self, std::move(members), hosted.mailbox.get()});
   hosted.port = std::make_unique<GroupPort>(endpoint_.get(), group);

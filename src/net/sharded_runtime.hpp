@@ -33,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/options.hpp"
@@ -95,6 +96,36 @@ struct ShardedResult {
 /// and proposals (one per group-local replica).
 using GroupFactory = std::function<AlgorithmFactory(GroupId)>;
 using GroupProposals = std::function<std::vector<Value>(GroupId)>;
+
+/// M node endpoints over real sockets inside this process: Unix-domain
+/// sockets under a fresh temp directory (removed on destruction) or TCP
+/// on ephemeral loopback ports.  Node i's transport seed is
+/// socket.seed + i * 1337.  run_sharded and LiveRuntime's socket mode
+/// (G = 1 on n nodes) are both built on it.
+class LocalFabric {
+ public:
+  LocalFabric(int num_nodes, SocketAddress::Kind kind,
+              const SocketTransportOptions& socket);
+  ~LocalFabric();
+
+  /// Registers replica pid of `group` on node group_placement(group, n,
+  /// M)[pid] with inbox inboxes[pid]; returns one GroupPort per replica
+  /// for its driver.
+  std::vector<std::unique_ptr<GroupPort>> add_group(
+      GroupId group, SystemConfig config,
+      const std::vector<std::unique_ptr<Mailbox>>& inboxes);
+
+  void start(std::chrono::steady_clock::time_point epoch);
+  /// Stops every endpoint together (stop_and_flush_all); idempotent.
+  std::vector<UndeliveredCopy> stop_and_flush();
+
+  SocketCounters counters() const;  ///< summed over the endpoints
+  GroupCounters group_counters(GroupId group) const;
+
+ private:
+  std::string dir_;  ///< UDS socket directory (empty for TCP)
+  std::vector<std::unique_ptr<SocketEndpoint>> endpoints_;
+};
 
 /// Runs G groups x n replicas over M endpoints inside this process and
 /// merges + validates each group's trace independently.  Throws on driver

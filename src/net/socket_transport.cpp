@@ -14,9 +14,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -185,19 +183,6 @@ int open_listener(SocketAddress& addr) {
   return fd;
 }
 
-/// The implicit group of the single-group constructors: group 0, node ids
-/// and group-local pids coinciding.
-GroupSpec legacy_group(SystemConfig config, ProcessId self, Mailbox* inbox) {
-  GroupSpec spec;
-  spec.group = 0;
-  spec.config = config;
-  spec.self = self;
-  spec.members.resize(static_cast<std::size_t>(config.n));
-  for (int i = 0; i < config.n; ++i) spec.members[static_cast<std::size_t>(i)] = i;
-  spec.inbox = inbox;
-  return spec;
-}
-
 }  // namespace
 
 std::string SocketAddress::to_string() const {
@@ -361,36 +346,6 @@ struct SocketEndpoint::GroupState {
   std::vector<UndeliveredCopy> stash;  ///< filled by stop_and_flush_group
 };
 
-SocketEndpoint::SocketEndpoint(ProcessId self, SystemConfig config,
-                               std::vector<SocketAddress> peers,
-                               SocketTransportOptions options, Mailbox* inbox)
-    : node_(self),
-      num_nodes_(config.n),
-      options_(std::move(options)),
-      listen_address_(peers.at(static_cast<std::size_t>(self))),
-      delivered_seq_(static_cast<std::size_t>(config.n), 0) {
-  auto table =
-      std::make_shared<std::vector<SocketAddress>>(std::move(peers));
-  resolver_ = [table](ProcessId pid) -> std::optional<SocketAddress> {
-    return table->at(static_cast<std::size_t>(pid));
-  };
-  init_listener_and_links();
-  add_group(legacy_group(config, self, inbox));
-}
-
-SocketEndpoint::SocketEndpoint(ProcessId self, SystemConfig config,
-                               SocketAddress listen, AddressResolver resolver,
-                               SocketTransportOptions options, Mailbox* inbox)
-    : node_(self),
-      num_nodes_(config.n),
-      options_(std::move(options)),
-      resolver_(std::move(resolver)),
-      listen_address_(std::move(listen)),
-      delivered_seq_(static_cast<std::size_t>(config.n), 0) {
-  init_listener_and_links();
-  add_group(legacy_group(config, self, inbox));
-}
-
 SocketEndpoint::SocketEndpoint(int node, std::vector<SocketAddress> nodes,
                                SocketTransportOptions options)
     : node_(node),
@@ -525,11 +480,6 @@ void SocketEndpoint::start(Clock::time_point epoch) {
   }
 }
 
-void SocketEndpoint::dispatch(ProcessId sender, Round round,
-                              MessagePtr payload) {
-  dispatch_group(0, sender, round, std::move(payload));
-}
-
 void SocketEndpoint::dispatch_group(GroupId group, ProcessId sender,
                                     Round round, MessagePtr payload) {
   GroupState* state = find_group(group);
@@ -615,17 +565,9 @@ void SocketEndpoint::dispatch_group(GroupId group, ProcessId sender,
   pool_.release(encoded.take());
 }
 
-void SocketEndpoint::mark_dead(ProcessId pid) {
-  // A remote pid's death is deliberately ignored: indulgence means a
-  // suspected peer is retried forever, never dropped.  This node's own
-  // death silences every replica it hosts.
-  if (pid != node_) return;
-  for (auto& [group, state] : groups_) {
-    state->dead.store(true, std::memory_order_release);
-  }
-}
-
 void SocketEndpoint::mark_dead_group(GroupId group, ProcessId pid) {
+  // A remote pid's death is deliberately ignored: indulgence means a
+  // suspected peer is retried forever, never dropped.
   GroupState* state = find_group(group);
   if (state != nullptr && state->spec.self == pid) {
     state->dead.store(true, std::memory_order_release);
@@ -1090,7 +1032,7 @@ void SocketEndpoint::accept_loop() {
 void SocketEndpoint::reader_loop(Inbound* conn) {
   FrameParser parser;
   WireWriter ack_writer;  ///< reused across acks; capacity persists
-  int peer = -1;  ///< peer node, learned from the connection's HELLO
+  int peer = -1;  ///< peer node, learned from the connection's HELLO2
   std::uint8_t buf[4096];
   while (running_.load(std::memory_order_acquire)) {
     const int ev = poll_one(conn->fd, POLLIN, std::chrono::milliseconds{20});
@@ -1103,7 +1045,6 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
       break;
     }
     parser.feed(buf, static_cast<std::size_t>(n));
-    bool broken = false;
     // Acks are cumulative, so one ack after the whole chunk acknowledges
     // every envelope in it.  Acking per frame both wasted syscalls and
     // could deadlock a loaded link: the reader blocked writing acks into
@@ -1115,27 +1056,17 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
     std::uint64_t ack_cumulative = 0;
     while (std::optional<Frame> frame = parser.next()) {
       switch (frame->type) {
-        case FrameType::Hello:
         case FrameType::Hello2:
           if (frame->hello_sender >= 0 && frame->hello_sender < num_nodes_ &&
               frame->hello_sender != node_) {
             peer = frame->hello_sender;
-            if (frame->type == FrameType::Hello2) {
-              std::lock_guard<std::mutex> lock(inbound_mutex_);
-              peer_groups_[peer] = std::move(frame->hello_groups);
-            }
+            std::lock_guard<std::mutex> lock(inbound_mutex_);
+            peer_groups_[peer] = std::move(frame->hello_groups);
           }
           break;
-        case FrameType::Envelope:
         case FrameType::Envelope2: {
-          if (peer < 0) break;  // envelope before HELLO: protocol error
+          if (peer < 0) break;  // envelope before HELLO2: protocol error
           NetEnvelope env = std::move(frame->envelope);
-          if (frame->type == FrameType::Envelope) {
-            // v1 compatibility: the sender is the link peer (node ids and
-            // group-local pids coincide) and the group is the legacy 0.
-            env.sender = peer;
-            env.group = 0;
-          }
           bool fresh = false;
           std::uint64_t cumulative = 0;
           {
@@ -1205,9 +1136,8 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
         case FrameType::Ack:
           break;  // acks only flow on outbound connections
       }
-      if (broken) break;
     }
-    if ((want_ack || fin) && !broken) {
+    if (want_ack || fin) {
       ack_writer.clear();
       if (want_ack) encode_ack_into(ack_cumulative, ack_writer);
       if (fin) {
@@ -1217,13 +1147,13 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
       }
       if (!write_all(conn->fd, ack_writer.data(), ack_writer.size(),
                      options_.send_timeout)) {
-        broken = true;
+        break;
       }
     }
     // Counted only once echoed: stop_and_flush closes this connection as
     // soon as every peer's FIN is counted, and the echo must be out first.
-    if (fin && !broken) note_fin(peer);
-    if (broken || parser.poisoned()) break;
+    if (fin) note_fin(peer);
+    if (parser.poisoned()) break;
   }
   ::shutdown(conn->fd, SHUT_RDWR);
 }
@@ -1373,80 +1303,6 @@ std::vector<UndeliveredCopy> stop_and_flush_all(
     undelivered.insert(undelivered.end(), part.begin(), part.end());
   }
   return undelivered;
-}
-
-// ---------------------------------------------------------------------------
-// SocketHub
-
-SocketHub::SocketHub(SystemConfig config, SocketAddress::Kind kind,
-                     SocketTransportOptions options,
-                     std::vector<std::unique_ptr<Mailbox>>& mailboxes) {
-  if (kind == SocketAddress::Kind::Unix) {
-    std::string tmpl = (std::filesystem::temp_directory_path() /
-                        "indulgence-hub-XXXXXX")
-                           .string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("socket hub: mkdtemp failed");
-    }
-    dir_ = tmpl;
-  }
-  // All listeners bind in the constructors, so the resolver below can hand
-  // out final addresses (TCP ephemeral ports included) before start().
-  AddressResolver resolve = [this](ProcessId pid)
-      -> std::optional<SocketAddress> {
-    return endpoints_[static_cast<std::size_t>(pid)]->listen_address();
-  };
-  endpoints_.reserve(static_cast<std::size_t>(config.n));
-  for (ProcessId pid = 0; pid < config.n; ++pid) {
-    SocketAddress listen =
-        kind == SocketAddress::Kind::Unix
-            ? SocketAddress::unix_path(dir_ + "/p" + std::to_string(pid) +
-                                       ".sock")
-            : SocketAddress::tcp_loopback(0);
-    SocketTransportOptions per = options;
-    per.seed = options.seed + static_cast<std::uint64_t>(pid) * 1337;
-    endpoints_.push_back(std::make_unique<SocketEndpoint>(
-        pid, config, std::move(listen), resolve, std::move(per),
-        mailboxes[static_cast<std::size_t>(pid)].get()));
-  }
-}
-
-SocketHub::~SocketHub() {
-  stop_and_flush();
-  endpoints_.clear();  // unlink socket files before removing the directory
-  if (!dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-}
-
-void SocketHub::start(Clock::time_point epoch) {
-  for (auto& endpoint : endpoints_) endpoint->start(epoch);
-}
-
-void SocketHub::dispatch(ProcessId sender, Round round, MessagePtr payload) {
-  endpoints_.at(static_cast<std::size_t>(sender))
-      ->dispatch(sender, round, std::move(payload));
-}
-
-void SocketHub::mark_dead(ProcessId pid) {
-  endpoints_.at(static_cast<std::size_t>(pid))->mark_dead(pid);
-}
-
-void SocketHub::expedite() {
-  for (auto& endpoint : endpoints_) endpoint->expedite();
-}
-
-std::vector<UndeliveredCopy> SocketHub::stop_and_flush() {
-  if (flushed_) return {};
-  flushed_ = true;
-  return stop_and_flush_all(endpoints_);
-}
-
-SocketCounters SocketHub::counters() const {
-  SocketCounters total;
-  for (const auto& endpoint : endpoints_) total += endpoint->counters();
-  return total;
 }
 
 }  // namespace indulgence

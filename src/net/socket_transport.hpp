@@ -336,39 +336,26 @@ struct GroupSpec {
 
 /// One node's side of the socket fabric: a listener plus one supervised
 /// outbound link per peer node, multiplexing every group registered with
-/// add_group().  Implements the SupervisedTransport control plane for the
-/// legacy single-group configuration; multi-group hosts drive the
-/// *_group entry points (usually through GroupPort).
-class SocketEndpoint final : public SupervisedTransport {
+/// add_group().  Drivers reach it through a per-group GroupPort.  The
+/// listener binds in the constructor (before any start()), so a set of
+/// endpoints created first and started later can always reach each other.
+class SocketEndpoint {
  public:
-  /// Legacy single-group endpoint: node ids coincide with the group-local
-  /// ProcessIds 0..n-1, and group 0 is registered implicitly with identity
-  /// placement.  Binds the listener in the constructor (before any
-  /// start()), so a set of endpoints created first and started later can
-  /// always reach each other without races.  `peers[pid]` is where pid
-  /// listens; the self entry may carry port 0 / an unbound path — the
-  /// actual bound address is listen_address().
-  SocketEndpoint(ProcessId self, SystemConfig config,
-                 std::vector<SocketAddress> peers,
-                 SocketTransportOptions options, Mailbox* inbox);
+  using Clock = std::chrono::steady_clock;
 
-  /// Legacy resolver flavour for multi-process runs: only the self listen
-  /// address is known up front; peers are resolved per connect attempt.
-  SocketEndpoint(ProcessId self, SystemConfig config, SocketAddress listen,
-                 AddressResolver resolver, SocketTransportOptions options,
-                 Mailbox* inbox);
-
-  /// Multi-group node: `node` is this process' slot in the fabric's node
-  /// address table.  Register hosted groups with add_group() before
+  /// `node` is this process' slot in the fabric's node address table
+  /// `nodes`; the self entry may carry port 0 (the bound address is then
+  /// listen_address()).  Register hosted groups with add_group() before
   /// start().
   SocketEndpoint(int node, std::vector<SocketAddress> nodes,
                  SocketTransportOptions options);
 
-  /// Multi-group resolver flavour (multi-process fabrics).
+  /// Resolver flavour (multi-process fabrics): only the self listen
+  /// address is known up front; peers are resolved per connect attempt.
   SocketEndpoint(int node, int num_nodes, SocketAddress listen,
                  AddressResolver resolver, SocketTransportOptions options);
 
-  ~SocketEndpoint() override;
+  ~SocketEndpoint();
 
   /// Registers a hosted group (before start() only).  Throws
   /// std::invalid_argument on malformed placement: wrong member count,
@@ -384,17 +371,17 @@ class SocketEndpoint final : public SupervisedTransport {
   /// The registered group ids, ascending — what HELLO2 advertises.
   std::vector<GroupId> hosted_groups() const;
 
-  // --- SupervisedTransport --------------------------------------------------
+  // --- endpoint lifecycle ---------------------------------------------------
 
-  void start(Clock::time_point epoch) override;
-  /// Legacy single-group dispatch: broadcasts on group 0.
-  void dispatch(ProcessId sender, Round round, MessagePtr payload) override;
-  /// Legacy: marks every hosted group's local replica dead when `pid` is
-  /// this node (the whole process crashed).
-  void mark_dead(ProcessId pid) override;
-  void expedite() override;
-  std::vector<UndeliveredCopy> stop_and_flush() override;
-  long dropped_copies() const override { return 0; }  ///< never drops
+  /// Starts the accept and link supervisor threads; `epoch` is the run's
+  /// t=0 for the wire-chaos window.
+  void start(Clock::time_point epoch);
+  /// Chaos off, drain fast: what expedite_group() fires once every hosted
+  /// group asked.
+  void expedite();
+  /// Stops the endpoint (the FIN exchange) and returns every copy that
+  /// never reached a peer's mailbox.  Idempotent.
+  std::vector<UndeliveredCopy> stop_and_flush();
 
   // --- demux layer (per-group entry points) ---------------------------------
 
@@ -430,7 +417,7 @@ class SocketEndpoint final : public SupervisedTransport {
   /// reuse/miss stats).
   const FrameBufferPool& frame_pool() const { return pool_; }
   /// The group set `node` advertised in its HELLO2 (empty until it dialed
-  /// us, or if it spoke the v1 wire format).
+  /// us).
   std::vector<GroupId> peer_advertised_groups(int node) const;
 
  private:
@@ -522,9 +509,10 @@ class SocketEndpoint final : public SupervisedTransport {
 };
 
 /// A per-group SupervisedTransport view over a shared multi-group
-/// endpoint: the demux layer's send-side facade.  The round drivers of
-/// group g hold a GroupPort and never learn the endpoint is shared —
-/// DriverContext, RoundDriver, and the validator stay single-group.
+/// endpoint: the demux layer's send-side facade, and the only
+/// SupervisedTransport over sockets.  The round drivers of group g hold a
+/// GroupPort and never learn the endpoint is shared — DriverContext,
+/// RoundDriver, and the validator stay single-group.
 class GroupPort final : public SupervisedTransport {
  public:
   GroupPort(SocketEndpoint* endpoint, GroupId group)
@@ -557,32 +545,5 @@ class GroupPort final : public SupervisedTransport {
 /// end early: an endpoint's readers stay up until every peer said FIN.
 std::vector<UndeliveredCopy> stop_and_flush_all(
     const std::vector<std::unique_ptr<SocketEndpoint>>& endpoints);
-
-/// In-process fabric for the LiveRuntime, the --socket fuzz campaign, and
-/// the X5-socket bench: n endpoints wired over real sockets inside one
-/// process, presented as a single SupervisedTransport.  Unix-domain
-/// endpoints live under a fresh temp directory (removed on destruction);
-/// TCP endpoints bind ephemeral loopback ports.
-class SocketHub final : public SupervisedTransport {
- public:
-  SocketHub(SystemConfig config, SocketAddress::Kind kind,
-            SocketTransportOptions options,
-            std::vector<std::unique_ptr<Mailbox>>& mailboxes);
-  ~SocketHub() override;
-
-  void start(Clock::time_point epoch) override;
-  void dispatch(ProcessId sender, Round round, MessagePtr payload) override;
-  void mark_dead(ProcessId pid) override;
-  void expedite() override;
-  std::vector<UndeliveredCopy> stop_and_flush() override;
-  long dropped_copies() const override { return 0; }
-
-  SocketCounters counters() const;
-
- private:
-  std::string dir_;  ///< UDS socket directory (empty for TCP)
-  std::vector<std::unique_ptr<SocketEndpoint>> endpoints_;
-  bool flushed_ = false;
-};
 
 }  // namespace indulgence

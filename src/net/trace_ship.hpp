@@ -9,7 +9,10 @@
 //
 // The file format reuses the wire codec (little-endian primitives, the
 // message registry for delivery payloads), framed by a magic and version
-// so a partial write or foreign file reads as nullopt, never UB.
+// so a partial write, a foreign file or a file of a retired format
+// version reads as nullopt, never UB.  Only the current version is read;
+// the corpus is .sched text, so no older shipped log needs to stay
+// readable.
 
 #pragma once
 
@@ -27,8 +30,7 @@ namespace indulgence {
 
 /// Everything one OS process contributes to ONE group's merged trace.  A
 /// sharded node hosting G groups ships G of these (same file format, one
-/// record per group); single-group processes ship exactly one with the
-/// legacy group 0.
+/// record per group); a single-group run is group 0.
 struct ShippedLog {
   GroupId group = 0;
   ProcessId self = -1;  ///< group-local pid
@@ -45,7 +47,7 @@ struct ShippedLog {
 void write_shipped_log(const std::string& path, const ShippedLog& shipped);
 
 /// Reads a file written by write_shipped_log; nullopt on a missing,
-/// truncated, or foreign file.
+/// truncated, or foreign file, or one of a retired format version.
 std::optional<ShippedLog> read_shipped_log(const std::string& path);
 
 /// Merges per-process shipped logs (one per pid, any order) into a checked

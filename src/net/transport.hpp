@@ -4,7 +4,8 @@
 // fated copies come back to each process through its Mailbox as
 // NetEnvelopes.  Three transports exist: the fault-injecting LiveRouter
 // (router.hpp), the schedule-replaying ScriptTransport (script.hpp), and
-// the supervised socket transport (socket_transport.hpp).
+// the supervised socket transport's per-group GroupPort
+// (socket_transport.hpp).
 
 #pragma once
 
@@ -24,7 +25,7 @@ struct NetEnvelope {
   ProcessId sender = -1;  ///< group-local pid
   Round send_round = 0;
   Round target_round = 0;
-  GroupId group = 0;      ///< owning consensus group (0 = legacy single group)
+  GroupId group = 0;      ///< owning consensus group (0 = single-group run)
   MessagePtr payload;
   /// Actual emitter when the copy is forged (sim/byzantine.hpp): `sender`
   /// is the claimed id, `origin` the budgeted liar.  -1 = honest copy.
@@ -54,7 +55,7 @@ class Transport {
 };
 
 /// The control plane the round drivers and the runtime need from any
-/// long-lived transport (the fault-injecting router, the socket hub): crash
+/// long-lived transport (the fault-injecting router, a GroupPort): crash
 /// reporting, shutdown acceleration, and the teardown flush that turns
 /// still-in-flight copies into the trace's pending records.  The scripted
 /// transport is the one Transport that is NOT supervised — its lifetime is

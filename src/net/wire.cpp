@@ -365,11 +365,6 @@ MessagePtr decode_message(WireReader& in) {
   return decode_message_at_depth(in, 0);
 }
 
-std::size_t encode_hello_into(ProcessId sender, WireWriter& out) {
-  return append_frame(FrameType::Hello, out,
-                      [&](WireWriter& body) { body.i32(sender); });
-}
-
 std::size_t encode_hello2_into(ProcessId sender,
                                const std::vector<GroupId>& groups,
                                WireWriter& out) {
@@ -378,17 +373,6 @@ std::size_t encode_hello2_into(ProcessId sender,
     body.i32(sender);
     body.u32(static_cast<std::uint32_t>(groups.size()));
     for (GroupId group : groups) body.i32(group);
-  });
-}
-
-std::size_t encode_envelope_frame_into(std::uint64_t seq,
-                                       const NetEnvelope& envelope,
-                                       WireWriter& out) {
-  return append_frame(FrameType::Envelope, out, [&](WireWriter& body) {
-    body.u64(seq);
-    body.i32(envelope.send_round);
-    body.i32(envelope.target_round);
-    encode_message(*envelope.payload, body);
   });
 }
 
@@ -420,23 +404,10 @@ std::size_t encode_fin_into(std::uint64_t seq, WireWriter& out) {
                       [&](WireWriter& body) { body.u64(seq); });
 }
 
-std::vector<std::uint8_t> encode_hello(ProcessId sender) {
-  WireWriter out;
-  encode_hello_into(sender, out);
-  return out.take();
-}
-
 std::vector<std::uint8_t> encode_hello2(ProcessId sender,
                                         const std::vector<GroupId>& groups) {
   WireWriter out;
   encode_hello2_into(sender, groups, out);
-  return out.take();
-}
-
-std::vector<std::uint8_t> encode_envelope_frame(std::uint64_t seq,
-                                                const NetEnvelope& envelope) {
-  WireWriter out;
-  encode_envelope_frame_into(seq, envelope, out);
   return out.take();
 }
 
@@ -532,26 +503,17 @@ std::optional<Frame> FrameParser::next() {
     WireReader body(buffer_.data() + 5, body_len);
     std::optional<Frame> frame;
     switch (static_cast<FrameType>(raw_type)) {
-      case FrameType::Hello: {
-        auto sender = body.i32();
-        if (sender && body.done()) {
-          Frame f;
-          f.type = FrameType::Hello;
-          f.hello_sender = *sender;
-          frame = std::move(f);
-        }
-        break;
-      }
       case FrameType::Hello2: {
         auto version = body.u32();
         auto sender = body.i32();
         auto count = body.u32();
         // Length-check the advertised group count (4 bytes each) before
-        // trusting it with an allocation.
-        if (version && sender && count && *count <= body.remaining() / 4) {
+        // trusting it with an allocation.  Another wire version is skipped
+        // like any malformed frame.
+        if (version && *version == kWireVersion && sender && count &&
+            *count <= body.remaining() / 4) {
           Frame f;
           f.type = FrameType::Hello2;
-          f.hello_version = *version;
           f.hello_sender = *sender;
           f.hello_groups.reserve(*count);
           bool ok = true;
@@ -564,24 +526,6 @@ std::optional<Frame> FrameParser::next() {
             }
           }
           if (ok && body.done()) frame = std::move(f);
-        }
-        break;
-      }
-      case FrameType::Envelope: {
-        auto seq = body.u64();
-        auto send_round = body.i32();
-        auto target_round = body.i32();
-        if (seq && send_round && target_round) {
-          MessagePtr payload = decode_message(body);
-          if (payload != nullptr && body.done()) {
-            Frame f;
-            f.type = FrameType::Envelope;
-            f.seq = *seq;
-            f.envelope.send_round = *send_round;
-            f.envelope.target_round = *target_round;
-            f.envelope.payload = std::move(payload);
-            frame = std::move(f);
-          }
         }
         break;
       }

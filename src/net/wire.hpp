@@ -5,27 +5,26 @@
 // stream reader can recover frame boundaries across short reads and detect
 // truncation (a reset mid-frame leaves a partial frame that never completes;
 // the reader discards it and the supervisor's redelivery makes it whole
-// again).  The frame-type registry is closed and append-only; seven types
-// exist across the two wire versions:
+// again).  The frame-type registry is closed and append-only:
 //
-//   HELLO      i32 sender             v1: first frame of every outbound link
-//   ENVELOPE   u64 seq | i32 send_round | i32 target_round | message
+//   1, 2       retired (wire v1 HELLO / ENVELOPE): never reused, skipped
+//              like any unknown frame type
 //   ACK        u64 cumulative_seq     receiver -> sender, same connection
 //   HEARTBEAT  (empty)                idle keep-alive; elicits an ACK
 //   HELLO2     u32 wire_version | i32 sender node | u32 count | count x i32
-//              group                  v2: advertises the hosted group set
+//              group                  first frame of every outbound link:
+//                                     the dialer's node and hosted groups
 //   ENVELOPE2  u64 seq | i32 group | i32 sender | i32 send_round |
-//              i32 target_round | message
-//   FIN        u64 seq                v2 teardown: the dialer's link is
+//              i32 target_round | i32 origin | message
+//   FIN        u64 seq                teardown: the dialer's link is
 //              drained (every copy up to seq acknowledged) and sends no
 //              more; the reader echoes a FIN carrying its delivered seq
 //
-// Version 2 (kWireVersion) multiplexes many consensus groups over one
-// link: ENVELOPE2 tags each copy with its owning group and group-local
-// sender, and HELLO2 advertises which groups the dialing node hosts.  New
-// code emits only v2 frames; v1 frames still decode (group 0, sender
-// derived from the link) so old byte streams and shipped logs stay
-// readable — the legacy-decode tests pin that.
+// This is wire version 2 (kWireVersion): many consensus groups share one
+// link, and ENVELOPE2 tags each copy with its owning group and group-local
+// sender.  A HELLO2 advertising any other version is skipped, so such a
+// peer never gets a link identity.  Wire v1 no longer decodes: there is no
+// deployed fleet and no persisted v1 stream.
 //
 // Message payloads are encoded through a closed registry of type tags — one
 // per concrete Message subclass (`describe()` is for humans; the codec is
@@ -53,17 +52,16 @@
 
 namespace indulgence {
 
+/// Types 1 and 2 (wire v1 HELLO / ENVELOPE) are retired, never reused.
 enum class FrameType : std::uint8_t {
-  Hello = 1,
-  Envelope = 2,
   Ack = 3,
   Heartbeat = 4,
-  Hello2 = 5,     ///< v2: node id + hosted group set
-  Envelope2 = 6,  ///< v2: group-tagged envelope
-  Fin = 7,        ///< v2: link goodbye (dialer) and its echo (reader)
+  Hello2 = 5,     ///< node id + hosted group set
+  Envelope2 = 6,  ///< group-tagged envelope
+  Fin = 7,        ///< link goodbye (dialer) and its echo (reader)
 };
 
-/// The framing version v2-aware senders advertise in HELLO2.
+/// The framing version HELLO2 advertises; the parser skips any other.
 inline constexpr std::uint32_t kWireVersion = 2;
 
 /// Little-endian append-only byte buffer.  The hot path reuses one writer
@@ -135,24 +133,16 @@ MessagePtr decode_message(WireReader& in);
 /// One decoded frame, as read off a connection.
 struct Frame {
   FrameType type = FrameType::Heartbeat;
-  ProcessId hello_sender = -1;        ///< Hello / Hello2 (node id)
-  std::uint64_t seq = 0;              ///< Envelope(2) / Ack (cumulative) / Fin
-  /// Envelope(2).  v2 fills group and the group-local sender from the wire;
-  /// a v1 frame leaves sender = -1 (the caller derives it from the link)
-  /// and group = 0.
-  NetEnvelope envelope;
-  std::uint32_t hello_version = 1;    ///< 1 for Hello, wire value for Hello2
+  ProcessId hello_sender = -1;        ///< Hello2 (node id)
+  std::uint64_t seq = 0;              ///< Envelope2 / Ack (cumulative) / Fin
+  NetEnvelope envelope;               ///< Envelope2, every field from the wire
   std::vector<GroupId> hello_groups;  ///< Hello2: the dialer's hosted groups
 };
 
-std::vector<std::uint8_t> encode_hello(ProcessId sender);
-/// v2 HELLO: advertises the dialing node and the group set it hosts.
+/// HELLO2: advertises the dialing node and the group set it hosts.
 std::vector<std::uint8_t> encode_hello2(ProcessId sender,
                                         const std::vector<GroupId>& groups);
-std::vector<std::uint8_t> encode_envelope_frame(std::uint64_t seq,
-                                                const NetEnvelope& envelope);
-/// v2 ENVELOPE: carries envelope.group and the group-local envelope.sender
-/// on the wire instead of deriving the sender from the link's HELLO.
+/// ENVELOPE2: carries envelope.group and the group-local envelope.sender.
 std::vector<std::uint8_t> encode_envelope_frame2(std::uint64_t seq,
                                                  const NetEnvelope& envelope);
 std::vector<std::uint8_t> encode_ack(std::uint64_t cumulative_seq);
@@ -169,13 +159,9 @@ std::vector<std::uint8_t> encode_fin(std::uint64_t seq);
 // two forms are byte-identical by construction (the golden-equivalence
 // tests pin it anyway).
 
-std::size_t encode_hello_into(ProcessId sender, WireWriter& out);
 std::size_t encode_hello2_into(ProcessId sender,
                                const std::vector<GroupId>& groups,
                                WireWriter& out);
-std::size_t encode_envelope_frame_into(std::uint64_t seq,
-                                       const NetEnvelope& envelope,
-                                       WireWriter& out);
 std::size_t encode_envelope_frame2_into(std::uint64_t seq,
                                         const NetEnvelope& envelope,
                                         WireWriter& out);
@@ -183,7 +169,7 @@ std::size_t encode_ack_into(std::uint64_t cumulative_seq, WireWriter& out);
 std::size_t encode_heartbeat_into(WireWriter& out);
 std::size_t encode_fin_into(std::uint64_t seq, WireWriter& out);
 
-/// Byte offset of the u64 seq inside an ENVELOPE / ENVELOPE2 frame (after
+/// Byte offset of the u64 seq inside an ENVELOPE2 frame (after
 /// the 4-byte length and 1-byte type).  Lets the transport encode an
 /// envelope once with a placeholder seq and stamp the real one per link
 /// under the lock, without re-encoding the payload.

@@ -1,5 +1,5 @@
 // Byzantine injection in the live runtime (src/net): round-indexed lies
-// applied by the router and by the socket hub must reach the wire as
+// applied by the router and by the socket fabric must reach the wire as
 // mutated / forged / suppressed copies, the merged trace must carry the
 // declared liars so the unchanged model validator excuses exactly them,
 // and the authenticated target must keep deciding correctly end-to-end

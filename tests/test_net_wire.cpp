@@ -161,7 +161,7 @@ TEST(WireCodec, EncodingAnUnregisteredTypeThrows) {
 
 TEST(FrameParser, ControlFramesRoundTrip) {
   FrameParser parser;
-  const std::vector<std::uint8_t> hello = encode_hello(3);
+  const std::vector<std::uint8_t> hello = encode_hello2(3, {});
   const std::vector<std::uint8_t> ack = encode_ack(77);
   const std::vector<std::uint8_t> hb = encode_heartbeat();
   parser.feed(hello.data(), hello.size());
@@ -170,7 +170,7 @@ TEST(FrameParser, ControlFramesRoundTrip) {
 
   auto f1 = parser.next();
   ASSERT_TRUE(f1.has_value());
-  EXPECT_EQ(f1->type, FrameType::Hello);
+  EXPECT_EQ(f1->type, FrameType::Hello2);
   EXPECT_EQ(f1->hello_sender, 3);
 
   auto f2 = parser.next();
@@ -192,7 +192,7 @@ TEST(FrameParser, EnvelopeSurvivesByteAtATimeFeeding) {
   env.target_round = 0;
   env.payload = std::make_shared<At2EstimateMessage>(
       5, ProcessSet::from_mask(0b1101));
-  const std::vector<std::uint8_t> frame = encode_envelope_frame(42, env);
+  const std::vector<std::uint8_t> frame = encode_envelope_frame2(42, env);
 
   FrameParser parser;
   for (std::size_t i = 0; i < frame.size(); ++i) {
@@ -203,7 +203,7 @@ TEST(FrameParser, EnvelopeSurvivesByteAtATimeFeeding) {
   }
   auto decoded = parser.next();
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, FrameType::Envelope);
+  EXPECT_EQ(decoded->type, FrameType::Envelope2);
   EXPECT_EQ(decoded->seq, 42u);
   EXPECT_EQ(decoded->envelope.send_round, 6);
   EXPECT_EQ(decoded->envelope.payload->describe(), env.payload->describe());
@@ -214,7 +214,7 @@ TEST(FrameParser, MalformedBodyIsSkippedAndParsingContinues) {
   // parser must drop the bad frame and still produce the ack.
   WireWriter bad;
   bad.u32(3);  // body length
-  bad.u8(static_cast<std::uint8_t>(FrameType::Envelope));
+  bad.u8(static_cast<std::uint8_t>(FrameType::Envelope2));
   bad.u8(0xde);
   bad.u8(0xad);
   bad.u8(0x99);
@@ -246,9 +246,11 @@ TEST(FrameParser, OversizeFramePoisonsTheStream) {
 TEST(FrameParser, TrailingGarbageInBodyIsRejected) {
   // A hello body with 4 extra bytes: decoders require body.done().
   WireWriter w;
-  w.u32(8);
-  w.u8(static_cast<std::uint8_t>(FrameType::Hello));
+  w.u32(16);
+  w.u8(static_cast<std::uint8_t>(FrameType::Hello2));
+  w.u32(kWireVersion);
   w.i32(2);
+  w.u32(0);  // no groups
   w.i32(0xbeef);
   FrameParser parser;
   parser.feed(w.bytes().data(), w.bytes().size());
@@ -281,7 +283,6 @@ TEST(WireV2, Hello2GoldenBytes) {
   auto f = parser.next();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->type, FrameType::Hello2);
-  EXPECT_EQ(f->hello_version, kWireVersion);
   EXPECT_EQ(f->hello_sender, 3);
   EXPECT_EQ(f->hello_groups, (std::vector<GroupId>{0, 7}));
 }
@@ -407,32 +408,63 @@ TEST(WireV2, Envelope2SurvivesByteAtATimeFeeding) {
   EXPECT_EQ(decoded->envelope.payload->describe(), env.payload->describe());
 }
 
-TEST(WireV2, LegacyV1FramesDecodeAsGroupZero) {
-  // A v1 peer's bytes: HELLO carries no version or group set, ENVELOPE no
-  // group or sender field.  Both must still parse, with the v2 defaults the
-  // endpoint relies on (group 0, sender derived from the link).
-  const std::vector<std::uint8_t> hello = encode_hello(3);
+TEST(WireV2, RetiredV1FramesAreSkippedFrameByFrame) {
+  // A v1 peer's bytes: HELLO (type 1) carries only the sender, ENVELOPE
+  // (type 2) no group or sender field.  Both types are retired, so each
+  // frame is skipped whole and the ENVELOPE2 behind them still decodes.
+  WireWriter v1;
+  v1.u32(4);
+  v1.u8(1);  // retired HELLO
+  v1.i32(3);
+  WireWriter body;
+  body.u64(9);  // seq
+  body.i32(2);  // send round
+  body.i32(0);  // target round
+  encode_message(DecideMessage(-7), body);
+  v1.u32(static_cast<std::uint32_t>(body.size()));
+  v1.u8(2);  // retired ENVELOPE
+  for (std::uint8_t b : body.bytes()) v1.u8(b);
   NetEnvelope env;
+  env.group = 4;
+  env.sender = 1;
   env.send_round = 2;
   env.payload = std::make_shared<DecideMessage>(-7);
-  const std::vector<std::uint8_t> envelope = encode_envelope_frame(9, env);
+  const std::vector<std::uint8_t> envelope2 = encode_envelope_frame2(10, env);
 
   FrameParser parser;
-  parser.feed(hello.data(), hello.size());
-  parser.feed(envelope.data(), envelope.size());
-
-  auto h = parser.next();
-  ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->type, FrameType::Hello);
-  EXPECT_EQ(h->hello_version, 1u);
-  EXPECT_TRUE(h->hello_groups.empty());
-
+  parser.feed(v1.data(), v1.size());
+  parser.feed(envelope2.data(), envelope2.size());
   auto e = parser.next();
   ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->type, FrameType::Envelope);
-  EXPECT_EQ(e->envelope.group, 0);
-  EXPECT_EQ(e->envelope.sender, -1);
+  EXPECT_EQ(e->type, FrameType::Envelope2);
+  EXPECT_EQ(e->seq, 10u);
+  EXPECT_EQ(e->envelope.group, 4);
+  EXPECT_EQ(e->envelope.sender, 1);
   EXPECT_EQ(e->envelope.payload->describe(), env.payload->describe());
+  EXPECT_FALSE(parser.next().has_value());
+  EXPECT_FALSE(parser.poisoned());
+  EXPECT_EQ(parser.buffered(), 0u);
+}
+
+TEST(WireV2, Hello2OfAnotherVersionIsSkipped) {
+  // A HELLO2 advertising version 1 or 3 is skipped like any malformed
+  // frame — its sender never becomes the link's peer — and the ACK behind
+  // it still parses.
+  for (const std::uint32_t version : {1u, 3u}) {
+    std::vector<std::uint8_t> hello = encode_hello2(3, {0, 7});
+    hello[5] = static_cast<std::uint8_t>(version);  // the version's low byte
+    const std::vector<std::uint8_t> ack = encode_ack(5);
+
+    FrameParser parser;
+    parser.feed(hello.data(), hello.size());
+    parser.feed(ack.data(), ack.size());
+    auto frame = parser.next();
+    ASSERT_TRUE(frame.has_value()) << "version " << version;
+    EXPECT_EQ(frame->type, FrameType::Ack) << "version " << version;
+    EXPECT_EQ(frame->seq, 5u);
+    EXPECT_FALSE(parser.next().has_value());
+    EXPECT_FALSE(parser.poisoned());
+  }
 }
 
 TEST(WireV2, Hello2OverstatedGroupCountIsSkippedNotAllocated) {
@@ -603,14 +635,10 @@ NetEnvelope envelope_of(MessagePtr payload) {
 
 TEST(WireInto, ControlFramesMatchLegacyBytes) {
   WireWriter w;
-  const std::size_t hello_len = encode_hello_into(4, w);
-  EXPECT_EQ(w.bytes(), encode_hello(4));
-  EXPECT_EQ(hello_len, w.size());
-
-  w.clear();
   const std::vector<GroupId> groups{0, 2, 5};
-  encode_hello2_into(4, groups, w);
+  const std::size_t hello_len = encode_hello2_into(4, groups, w);
   EXPECT_EQ(w.bytes(), encode_hello2(4, groups));
+  EXPECT_EQ(hello_len, w.size());
 
   w.clear();
   encode_ack_into(0xdeadbeefcafeULL, w);
@@ -628,12 +656,6 @@ TEST(WireInto, EnvelopeFramesMatchLegacyBytesForEveryRegistryTag) {
   for (const MessagePtr& payload : registry_samples()) {
     const NetEnvelope env = envelope_of(payload);
     WireWriter w;
-    const std::size_t n1 = encode_envelope_frame_into(91, env, w);
-    EXPECT_EQ(w.bytes(), encode_envelope_frame(91, env))
-        << payload->describe();
-    EXPECT_EQ(n1, w.size()) << payload->describe();
-
-    w.clear();
     const std::size_t n2 = encode_envelope_frame2_into(92, env, w);
     EXPECT_EQ(w.bytes(), encode_envelope_frame2(92, env))
         << payload->describe();

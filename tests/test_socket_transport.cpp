@@ -1,7 +1,8 @@
 // The supervised socket transport: backoff math and the reconnect schedule
 // under an injected clock, endpoint-level delivery and redelivery, and full
-// consensus runs over the in-process SocketHub — clean and under seeded
-// wire chaos, UDS and TCP — judged by the unchanged model validator.
+// consensus runs of LiveRuntime over sockets (group 0 of an in-process
+// fabric) — clean, crashing, and under seeded wire chaos, UDS and TCP —
+// judged by the unchanged model validator.
 
 #include "net/socket_transport.hpp"
 
@@ -21,6 +22,7 @@
 #include "consensus/floodset.hpp"
 #include "fuzz/targets.hpp"
 #include "net/runtime.hpp"
+#include "net/sharded_runtime.hpp"
 #include "sim/harness.hpp"
 #include "sim/message.hpp"
 
@@ -137,6 +139,12 @@ std::string fresh_socket_dir() {
   return tmpl;
 }
 
+/// Group 0 with identity placement (node i hosts replica i): the shape of
+/// a single-group socket run.
+GroupSpec identity_group(ProcessId self, SystemConfig cfg, Mailbox* inbox) {
+  return GroupSpec{0, cfg, self, group_placement(0, cfg.n, cfg.n), inbox};
+}
+
 TEST(SocketEndpoint, DeliversBetweenEndpointsAndDedupsBySequence) {
   const SystemConfig cfg{.n = 3, .t = 1};
   const std::string dir = fresh_socket_dir();
@@ -151,14 +159,15 @@ TEST(SocketEndpoint, DeliversBetweenEndpointsAndDedupsBySequence) {
     mailboxes.push_back(std::make_unique<Mailbox>(1024));
     SocketTransportOptions opts;
     opts.seed = 100 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        pid, cfg, addrs, opts, mailboxes.back().get()));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.back()->add_group(
+        identity_group(pid, cfg, mailboxes.back().get()));
   }
   const auto epoch = std::chrono::steady_clock::now();
   for (auto& ep : endpoints) ep->start(epoch);
 
-  endpoints[0]->dispatch(0, 1,
-                         std::make_shared<FloodEstimateMessage>(Value{5}));
+  endpoints[0]->dispatch_group(
+      0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{5}));
   for (ProcessId pid = 1; pid < cfg.n; ++pid) {
     auto env = mailboxes[static_cast<std::size_t>(pid)]->pop_for(2s);
     ASSERT_TRUE(env.has_value()) << "p" << pid << " got nothing";
@@ -189,20 +198,19 @@ TEST(SocketEndpoint, DispatchRejectsForeignSenders) {
         SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
   }
   Mailbox mailbox(64);
-  SocketEndpoint ep(0, cfg, addrs, SocketTransportOptions{}, &mailbox);
-  EXPECT_THROW(ep.dispatch(1, 1, std::make_shared<FillerMessage>()),
+  SocketEndpoint ep(0, addrs, SocketTransportOptions{});
+  ep.add_group(identity_group(0, cfg, &mailbox));
+  EXPECT_THROW(ep.dispatch_group(0, 1, 1, std::make_shared<FillerMessage>()),
                std::logic_error);
   ep.stop_and_flush();
   std::filesystem::remove_all(dir);
 }
 
 TEST(SocketEndpoint, TcpListenerResolvesEphemeralPort) {
-  const SystemConfig cfg{.n = 3, .t = 1};
-  Mailbox mailbox(64);
   SocketEndpoint ep(
-      0, cfg, SocketAddress::tcp_loopback(0),
+      0, 3, SocketAddress::tcp_loopback(0),
       [](ProcessId) -> std::optional<SocketAddress> { return std::nullopt; },
-      SocketTransportOptions{}, &mailbox);
+      SocketTransportOptions{});
   EXPECT_GT(ep.listen_address().port, 0);
   ep.stop_and_flush();
 }
@@ -328,16 +336,17 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
 }
 
 // ---------------------------------------------------------------------------
-// Full consensus runs over the hub
+// Full consensus runs of LiveRuntime over sockets.  The suite keeps its
+// historical name; the runs are group 0 of an in-process fabric.
 // ---------------------------------------------------------------------------
 
 RunResult run_over_hub(SocketAddress::Kind kind,
                        const SocketTransportOptions& socket_options,
-                       SocketCounters* counters_out) {
+                       SocketCounters* counters_out,
+                       LiveOptions options = {}) {
   const SystemConfig cfg{.n = 3, .t = 1};
   const FuzzTarget* target = find_fuzz_target("hr");
   EXPECT_NE(target, nullptr);
-  LiveOptions options;
   options.max_rounds = 64;
   LiveRuntime runtime(cfg, options);
   runtime.use_socket_transport(kind, socket_options);
@@ -417,6 +426,69 @@ TEST(SocketHub, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
                            << result.trace.to_string();
   EXPECT_GT(counters.injected_resets, 0) << "chaos never reset a link";
   EXPECT_GT(counters.envelopes_resent, 0) << "no resend was forced";
+}
+
+/// p2 crashes in round 2: the crash reaches the transport through p2's
+/// GroupPort (mark_dead -> mark_dead_group), the merged trace validates,
+/// and the survivors decide.
+void expect_crash_survived(SocketAddress::Kind kind) {
+  LiveOptions options;
+  options.crashes.push_back(CrashInjection{2, 2, false});
+  SocketTransportOptions opts;
+  opts.seed = 41;
+  SocketCounters counters;
+  const RunResult result = run_over_hub(kind, opts, &counters, options);
+  EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
+                           << result.trace.to_string();
+  EXPECT_TRUE(result.trace.crashed().contains(2));
+  ProcessSet decided;
+  for (const DecisionRecord& d : result.trace.decisions()) {
+    decided.insert(d.pid);
+  }
+  EXPECT_TRUE(decided.contains(0) && decided.contains(1))
+      << result.trace.to_string();
+  EXPECT_GT(counters.envelopes_delivered, 0);
+}
+
+TEST(SocketCrash, UdsRunSilencesTheCrashedReplicaAndSurvivorsDecide) {
+  expect_crash_survived(SocketAddress::Kind::Unix);
+}
+
+TEST(SocketCrash, TcpRunSilencesTheCrashedReplicaAndSurvivorsDecide) {
+  expect_crash_survived(SocketAddress::Kind::Tcp);
+}
+
+TEST(SocketCrash, GroupPortMarkDeadDropsCopiesToThatReplicaOnly) {
+  // The merge drops pending copies to crashed receivers, so the runs above
+  // cannot see whether the transport silenced p2; this checks it directly.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  const std::string dir = fresh_socket_dir();
+  std::vector<SocketAddress> addrs;
+  for (int i = 0; i < cfg.n; ++i) {
+    addrs.push_back(
+        SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
+  }
+  std::vector<std::unique_ptr<Mailbox>> mailboxes;
+  std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
+  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+    mailboxes.push_back(std::make_unique<Mailbox>(64));
+    endpoints.push_back(
+        std::make_unique<SocketEndpoint>(pid, addrs, SocketTransportOptions{}));
+    endpoints.back()->add_group(
+        identity_group(pid, cfg, mailboxes.back().get()));
+  }
+  const auto epoch = std::chrono::steady_clock::now();
+  for (auto& ep : endpoints) ep->start(epoch);
+  GroupPort(endpoints[2].get(), 0).mark_dead(2);
+  GroupPort(endpoints[1].get(), 0).mark_dead(0);  // remote pid: ignored
+  GroupPort(endpoints[0].get(), 0)
+      .dispatch(0, 1, std::make_shared<FloodEstimateMessage>(Value{5}));
+
+  EXPECT_TRUE(stop_and_flush_all(endpoints).empty());
+  EXPECT_EQ(mailboxes[1]->drain().size(), 1u);
+  EXPECT_TRUE(mailboxes[2]->drain().empty());
+  endpoints.clear();
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -538,12 +610,13 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
     mailboxes.push_back(std::make_unique<Mailbox>(kBacklog + 64));
     SocketTransportOptions opts;
     opts.seed = 700 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        pid, cfg, addrs, opts, mailboxes.back().get()));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.back()->add_group(
+        identity_group(pid, cfg, mailboxes.back().get()));
   }
   for (int i = 0; i < kBacklog; ++i) {
-    endpoints[0]->dispatch(0, 1,
-                           std::make_shared<FloodEstimateMessage>(Value{i}));
+    endpoints[0]->dispatch_group(
+        0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{i}));
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -598,14 +671,15 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
     opts.chaos.seed = 900 + static_cast<std::uint64_t>(pid);
     opts.chaos.until = std::chrono::hours{1};  // chaos for the whole test
     opts.chaos.short_write_prob = 1.0;         // dribble EVERY frame
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        pid, cfg, addrs, opts, mailboxes.back().get()));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.back()->add_group(
+        identity_group(pid, cfg, mailboxes.back().get()));
   }
   const auto start = std::chrono::steady_clock::now();
   for (auto& ep : endpoints) ep->start(start);
   for (int i = 0; i < kMessages; ++i) {
-    endpoints[0]->dispatch(0, 1,
-                           std::make_shared<FloodEstimateMessage>(Value{i}));
+    endpoints[0]->dispatch_group(
+        0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{i}));
   }
   for (ProcessId pid = 1; pid < cfg.n; ++pid) {
     for (int i = 0; i < kMessages; ++i) {
@@ -634,8 +708,8 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
 // `linger`; linger only bounds a peer that never says goodbye.
 // ---------------------------------------------------------------------------
 
-/// Three legacy endpoints over UDS or TCP loopback, resolved through their
-/// bound listeners (TCP ports are ephemeral).
+/// Three endpoints hosting group 0 over UDS or TCP loopback, resolved
+/// through their bound listeners (TCP ports are ephemeral).
 struct TeardownFabric {
   TeardownFabric(SocketAddress::Kind kind, std::chrono::microseconds linger) {
     if (kind == SocketAddress::Kind::Unix) dir = fresh_socket_dir();
@@ -649,12 +723,14 @@ struct TeardownFabric {
       opts.seed = 1100 + static_cast<std::uint64_t>(pid);
       opts.linger = linger;
       endpoints.push_back(std::make_unique<SocketEndpoint>(
-          pid, cfg,
+          pid, cfg.n,
           kind == SocketAddress::Kind::Unix
               ? SocketAddress::unix_path(dir + "/p" + std::to_string(pid) +
                                          ".sock")
               : SocketAddress::tcp_loopback(0),
-          resolve, opts, mailboxes.back().get()));
+          resolve, opts));
+      endpoints.back()->add_group(
+          identity_group(pid, cfg, mailboxes.back().get()));
     }
   }
 
@@ -669,8 +745,8 @@ struct TeardownFabric {
                  bool await) {
     for (Round k = 1; k <= rounds; ++k) {
       for (ProcessId pid : senders) {
-        endpoints[static_cast<std::size_t>(pid)]->dispatch(
-            pid, k, std::make_shared<FloodEstimateMessage>(Value{k}));
+        endpoints[static_cast<std::size_t>(pid)]->dispatch_group(
+            0, pid, k, std::make_shared<FloodEstimateMessage>(Value{k}));
       }
     }
     if (!await) return;

@@ -1,8 +1,8 @@
 // Multi-process trace shipping: the binary per-process log format must
-// round-trip exactly and reject corruption, and a full fixed-rounds run —
-// every "process" with its own RunControl and SocketEndpoint, exactly the
-// multi-process topology minus the fork — must ship logs that merge into
-// one trace the unchanged validator accepts.
+// round-trip exactly and reject corruption and retired format versions,
+// and a full fixed-rounds run — every "process" its own ShardedNode,
+// exactly the multi-process topology minus the fork — must ship logs that
+// merge into one trace the unchanged validator accepts.
 
 #include "net/trace_ship.hpp"
 
@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "fuzz/targets.hpp"
-#include "net/round_driver.hpp"
-#include "net/socket_transport.hpp"
+#include "net/sharded_runtime.hpp"
 #include "net/wire.hpp"
 #include "sim/harness.hpp"
 #include "sim/message.hpp"
@@ -139,78 +138,45 @@ TEST(TraceShip, V2GroupFieldsRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(TraceShip, V1LegacyFileReadsAsGroupZero) {
-  // A v1 shipped log, byte for byte as the pre-sharding writer produced it:
-  // no group header, ungrouped copies, 14 counter fields (no demux_drops).
-  // The v2 reader must accept it with the legacy defaults.
-  WireWriter w;
-  w.u32(0x314c5349);  // magic "ISL1"
-  w.u32(1);           // version 1
-  w.i32(1);           // self
-  w.i32(3);           // n
-  w.i32(1);           // t
-  w.i64(7);           // proposal
-  w.u8(1);            // done
-  w.i32(4);           // halt_round
-  w.i32(5);           // completed
-  w.u8(0);            // no crash
-  w.u32(1);           // sends
-  w.i32(1);
-  w.i32(1);
-  w.u8(0);
-  w.u32(1);  // deliveries
-  w.i32(1);
-  w.i32(1);
-  w.i32(0);
-  w.i32(1);
-  encode_message(HaltedMessage(9), w);
-  w.u32(1);  // decisions
-  w.i32(2);
-  w.i32(1);
-  w.i64(9);
-  w.u32(1);  // leftovers: 4 fields, no group
-  w.i32(0);
-  w.i32(1);
-  w.i32(2);
-  w.i32(6);
-  w.u32(1);  // undelivered: 4 fields, no group
-  w.i32(1);
-  w.i32(2);
-  w.i32(5);
-  w.i32(0);
-  for (int i = 0; i < 14; ++i) w.i64(i);  // counters, sans demux_drops
-
+TEST(TraceShip, RetiredV1AndV2FilesReadAsNullopt) {
+  // Version 1 (single-group records) and version 2 (no delivery emitter)
+  // are retired.  A file claiming either reads as nullopt — whether its
+  // body is a real current-format record or one laid out as that version
+  // wrote it — while the untouched current file still reads.
   const std::string dir = fresh_dir();
-  const std::string path = dir + "/v1.log";
+  const std::string path = dir + "/old.log";
+  write_shipped_log(path, sample_log());
+  ASSERT_TRUE(read_shipped_log(path).has_value());
+  std::vector<char> current;
   {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(w.bytes().data()),
-              static_cast<std::streamsize>(w.bytes().size()));
+    std::ifstream in(path, std::ios::binary);
+    current.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
   }
-  const std::optional<ShippedLog> loaded = read_shipped_log(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->group, 0);
-  EXPECT_EQ(loaded->self, 1);
-  EXPECT_EQ(loaded->config, (SystemConfig{.n = 3, .t = 1}));
-  EXPECT_EQ(loaded->log.proposal, 7);
-  ASSERT_EQ(loaded->log.leftovers.size(), 1u);
-  EXPECT_EQ(loaded->log.leftovers[0].group, 0);
-  ASSERT_EQ(loaded->undelivered.size(), 1u);
-  EXPECT_EQ(loaded->undelivered[0].group, 0);
-  EXPECT_EQ(loaded->counters.connect_attempts, 0);
-  EXPECT_EQ(loaded->counters.injected_accept_closes, 13);
-  EXPECT_EQ(loaded->counters.demux_drops, 0);
+  // The v1 layout: no group header, ungrouped copies, 14 counter fields.
+  WireWriter v1;
+  v1.u32(0x314c5349);  // magic "ISL1"
+  v1.u32(1);           // version 1
+  for (std::int32_t field : {1, 3, 1}) v1.i32(field);  // self, n, t
+  v1.i64(7);           // proposal
+  v1.u8(1);            // done
+  v1.i32(4);           // halt_round
+  v1.i32(5);           // completed
+  v1.u8(0);            // no crash
+  for (int empty = 0; empty < 5; ++empty) v1.u32(0);  // every record list
+  for (int i = 0; i < 14; ++i) v1.i64(i);             // counters
+  std::vector<char> v1_bytes(v1.bytes().begin(), v1.bytes().end());
 
-  // The same body under a claimed version 3 must be rejected: the reader
-  // only speaks versions it knows.
-  std::vector<std::uint8_t> bytes = w.bytes();
-  bytes[4] = 3;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+  for (const std::uint8_t version : {1, 2}) {
+    for (std::vector<char> bytes : {current, v1_bytes}) {
+      bytes[4] = static_cast<char>(version);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      out.close();
+      EXPECT_FALSE(read_shipped_log(path).has_value())
+          << "version " << int{version} << ", " << bytes.size() << " bytes";
+    }
   }
-  EXPECT_FALSE(read_shipped_log(path).has_value());
   std::filesystem::remove_all(dir);
 }
 
@@ -233,50 +199,30 @@ TEST(TraceShip, MergeRejectsDuplicateAndMismatchedLogs) {
 // End-to-end: fixed-rounds drivers over socket endpoints, shipped via files
 // ---------------------------------------------------------------------------
 
-/// Runs pid's whole life as one OS process would: own RunControl, own
-/// SocketEndpoint, a fixed-rounds RoundDriver, then serialize to `path`.
+/// Runs pid's whole life as one OS process would: a ShardedNode hosting
+/// the group's replica pid for a fixed round count, then serialize to
+/// `path`.
 void run_one_replica(ProcessId pid, const SystemConfig& cfg,
                      const std::vector<SocketAddress>& addrs, Round rounds,
                      const AlgorithmFactory& factory, Value proposal,
                      const std::string& path) {
   LiveOptions options;
   options.max_rounds = rounds;
-  Mailbox mailbox(static_cast<std::size_t>(cfg.n) *
-                  (static_cast<std::size_t>(rounds) + 8));
   SocketTransportOptions socket_options;
   socket_options.seed = 900 + static_cast<std::uint64_t>(pid);
-  SocketEndpoint endpoint(pid, cfg, addrs, socket_options, &mailbox);
-  RunControl control(cfg);
-  control.on_stop = [&endpoint] { endpoint.expedite(); };
-  endpoint.start(std::chrono::steady_clock::now());
-
-  DriverContext ctx;
-  ctx.self = pid;
-  ctx.config = cfg;
-  ctx.options = &options;
-  ctx.transport = &endpoint;
-  ctx.mailbox = &mailbox;
-  ctx.control = &control;
-  ctx.supervision = &endpoint;
-  ctx.fixed_rounds = rounds;
-  ctx.factory = factory;
-  ctx.proposal = proposal;
-  ctx.epoch = std::chrono::steady_clock::now();
-  RoundDriver driver(std::move(ctx));
-  driver.run();
-  ASSERT_EQ(driver.error(), nullptr) << "p" << pid << " driver failed";
-
-  ShippedLog shipped;
-  shipped.self = pid;
-  shipped.config = cfg;
-  shipped.log = std::move(driver.log());
-  shipped.undelivered = endpoint.stop_and_flush();
-  for (NetEnvelope& env : mailbox.drain()) {
-    shipped.undelivered.push_back(
-        UndeliveredCopy{env.sender, pid, env.send_round, env.target_round});
+  ShardedNode node(
+      pid, cfg.n, addrs[static_cast<std::size_t>(pid)],
+      [&addrs](ProcessId peer) -> std::optional<SocketAddress> {
+        return addrs[static_cast<std::size_t>(peer)];
+      },
+      socket_options, options);
+  node.host(0, cfg, pid, group_placement(0, cfg.n, cfg.n), factory,
+            proposal);
+  try {
+    write_shipped_log(path, node.run(rounds).front());
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "p" << pid << " failed: " << e.what();
   }
-  shipped.counters = endpoint.counters();
-  write_shipped_log(path, shipped);
 }
 
 TEST(TraceShip, FixedRoundReplicasShipLogsThatMergeAndValidate) {
