@@ -4,15 +4,15 @@
 // simulated consensus instance by n and algorithm, adversary planning cost,
 // and the lower-bound explorer's enumeration rate.
 //
-// The wire-codec section measures the socket hot path: legacy
-// (vector-returning) vs pooled (writer-reusing) envelope encoding in
-// ns/frame and allocations/frame, FrameParser decode cost, and — over a
-// real SocketEndpoint pair with a pre-queued backlog — how many frames the
-// batched flush ships per writev syscall.  The deterministic numbers are
-// persisted to BENCH_e10_wire.json with the PR's two gates: pooled
-// encoding must cut allocations/frame by >= 5x and the coalesced flush
-// must ship >= 4 frames/syscall (the pre-batching flush wrote exactly one
-// frame per syscall by construction).
+// The wire-codec section measures the socket hot path: legacy (a fresh
+// writer per frame, its vector taken) vs pooled (writer-reusing) envelope
+// encoding in ns/frame and allocations/frame, FrameParser decode cost,
+// and — over a real SocketEndpoint pair with a pre-queued backlog — how
+// many frames the coalesced flush ships per gathered-write syscall.  The
+// deterministic numbers are persisted to BENCH_e10_wire.json with two
+// gates: pooled encoding must cut allocations/frame by >= 5x and the
+// coalesced flush must ship >= 4 frames/syscall (the pre-batching flush
+// wrote exactly one frame per syscall by construction).
 
 #include <benchmark/benchmark.h>
 
@@ -110,7 +110,7 @@ CodecSample measure_codec(int iters, Fn&& fn) {
 
 struct LoadedLinkStats {
   long frames = 0;     ///< envelopes flushed (first sends + resends)
-  long syscalls = 0;   ///< writev/sendmsg calls the flush path made
+  long syscalls = 0;   ///< sendmsg calls the flush path made
   double frames_per_syscall = 0;
   bool completed = false;  ///< every queued envelope left the hold queues
 };
@@ -282,7 +282,9 @@ void BM_WireEncodeEnvelope2Legacy(benchmark::State& state) {
   const NetEnvelope env = representative_envelope();
   const long before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    std::vector<std::uint8_t> frame = encode_envelope_frame2(77, env);
+    WireWriter writer;
+    encode_envelope_frame2_into(77, env, writer);
+    std::vector<std::uint8_t> frame = writer.take();
     benchmark::DoNotOptimize(frame.data());
   }
   state.counters["allocs/frame"] = benchmark::Counter(
@@ -310,8 +312,8 @@ void BM_WireEncodeEnvelope2Pooled(benchmark::State& state) {
 BENCHMARK(BM_WireEncodeEnvelope2Pooled);
 
 void BM_WireDecodeEnvelope2(benchmark::State& state) {
-  const std::vector<std::uint8_t> frame =
-      encode_envelope_frame2(77, representative_envelope());
+  WireWriter frame;
+  encode_envelope_frame2_into(77, representative_envelope(), frame);
   FrameParser parser;
   const long before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
@@ -334,8 +336,9 @@ bool run_wire_measurement() {
 
   const NetEnvelope env = representative_envelope();
   const CodecSample legacy = measure_codec(kCodecIters, [&](int i) {
-    std::vector<std::uint8_t> frame =
-        encode_envelope_frame2(static_cast<std::uint64_t>(i), env);
+    WireWriter fresh;
+    encode_envelope_frame2_into(static_cast<std::uint64_t>(i), env, fresh);
+    std::vector<std::uint8_t> frame = fresh.take();
     benchmark::DoNotOptimize(frame.data());
   });
   WireWriter writer;
@@ -344,8 +347,8 @@ bool run_wire_measurement() {
     encode_envelope_frame2_into(static_cast<std::uint64_t>(i), env, writer);
     benchmark::DoNotOptimize(writer.data());
   });
-  const std::vector<std::uint8_t> one_frame =
-      encode_envelope_frame2(77, env);
+  WireWriter one_frame;
+  encode_envelope_frame2_into(77, env, one_frame);
   FrameParser parser;
   const CodecSample decode = measure_codec(kCodecIters, [&](int) {
     parser.feed(one_frame.data(), one_frame.size());
@@ -355,9 +358,9 @@ bool run_wire_measurement() {
 
   const LoadedLinkStats link = measure_loaded_link(kBacklog);
 
-  // The gates.  Before this PR the flush loop issued exactly one write_all
-  // per frame, so frames/syscall >= 4 IS the >= 4x syscall reduction; the
-  // alloc gate compares the two encoder forms head to head.
+  // The gates.  The pre-batching flush issued exactly one write per frame,
+  // so frames/syscall >= 4 IS the >= 4x syscall reduction; the alloc gate
+  // compares a fresh writer per frame with a reused one, head to head.
   const bool alloc_gate =
       legacy.allocs_per_frame >= 5.0 * pooled.allocs_per_frame &&
       legacy.allocs_per_frame > 0;

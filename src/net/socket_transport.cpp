@@ -25,11 +25,13 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// poll() one fd for `events`, tolerating EINTR.  Returns revents, 0 on
-/// timeout, -1 on error.
+/// timeout, -1 on error.  The timeout rounds UP to whole milliseconds: a
+/// truncated sub-millisecond wait would be poll(..., 0), and a caller
+/// waiting out a deadline would spin on it.
 int poll_one(int fd, short events, std::chrono::microseconds timeout) {
   pollfd p{fd, events, 0};
   const int ms = static_cast<int>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(timeout).count());
+      std::chrono::ceil<std::chrono::milliseconds>(timeout).count());
   for (;;) {
     const int r = ::poll(&p, 1, std::max(ms, 0));
     if (r < 0 && errno == EINTR) continue;
@@ -38,72 +40,20 @@ int poll_one(int fd, short events, std::chrono::microseconds timeout) {
   }
 }
 
-/// Writes the whole buffer, polling for writability up to `timeout` per
-/// stall.  Returns false on error or timeout (connection considered dead).
-bool write_all(int fd, const std::uint8_t* data, std::size_t len,
-               std::chrono::microseconds timeout) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int ev = poll_one(fd, POLLOUT, timeout);
-      if (ev <= 0 || (ev & (POLLERR | POLLHUP))) return false;
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 /// How many frames one coalesced flush gathers per syscall.  Well under
 /// IOV_MAX everywhere, and small enough that one batch cannot hog the
 /// link mutex while it is gathered.
 constexpr std::size_t kFlushBatchFrames = 256;
 
-/// Gathered-write counterpart of write_all: ships `count` iovecs with as
-/// few syscalls as the kernel allows, polling POLLOUT up to `timeout` per
-/// stall.  Uses sendmsg (writev semantics) so MSG_NOSIGNAL still applies.
-/// `syscalls` counts every send attempt; `written` reports bytes shipped
-/// even when the connection breaks mid-batch, so the caller can tell which
-/// complete frames made it out.
-bool writev_all(int fd, iovec* iov, std::size_t count,
-                std::chrono::microseconds timeout, long& syscalls,
-                std::size_t& written) {
-  std::size_t idx = 0;
-  while (idx < count) {
-    msghdr msg{};
-    msg.msg_iov = iov + idx;
-    // UIO_MAXIOV guard; our batches stay below it, but keep this helper safe.
-    msg.msg_iovlen = std::min<std::size_t>(count - idx, 1024);
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    ++syscalls;
-    if (n > 0) {
-      written += static_cast<std::size_t>(n);
-      std::size_t left = static_cast<std::size_t>(n);
-      while (idx < count && left >= iov[idx].iov_len) {
-        left -= iov[idx].iov_len;
-        ++idx;
-      }
-      if (idx < count && left > 0) {
-        iov[idx].iov_base = static_cast<std::uint8_t*>(iov[idx].iov_base) + left;
-        iov[idx].iov_len -= left;
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int ev = poll_one(fd, POLLOUT, timeout);
-      if (ev <= 0 || (ev & (POLLERR | POLLHUP))) return false;
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
+/// Writes a writer's frames (control frames, acks) under one send-timeout
+/// deadline.
+bool write_frames(int fd, const WireWriter& frames,
+                  std::chrono::microseconds timeout) {
+  iovec iov{const_cast<std::uint8_t*>(frames.data()), frames.size()};
+  long syscalls = 0;
+  std::size_t written = 0;
+  return writev_until(fd, &iov, 1, Clock::now() + timeout, syscalls,
+                      written);
 }
 
 void set_nonblocking(int fd) {
@@ -204,21 +154,36 @@ std::chrono::microseconds next_backoff(const BackoffPolicy& policy,
   return std::chrono::microseconds{std::min(draw, cap)};
 }
 
-bool write_all_until(int fd, const std::uint8_t* data, std::size_t len,
-                     std::chrono::steady_clock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
+bool writev_until(int fd, iovec* iov, std::size_t count,
+                  std::chrono::steady_clock::time_point deadline,
+                  long& syscalls, std::size_t& written) {
+  std::size_t idx = 0;
+  while (idx < count) {
+    msghdr msg{};
+    msg.msg_iov = iov + idx;
+    // UIO_MAXIOV guard; flush batches stay below it.
+    msg.msg_iovlen = std::min<std::size_t>(count - idx, 1024);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    ++syscalls;
     if (n > 0) {
-      off += static_cast<std::size_t>(n);
+      written += static_cast<std::size_t>(n);
+      std::size_t left = static_cast<std::size_t>(n);
+      while (idx < count && left >= iov[idx].iov_len) {
+        left -= iov[idx].iov_len;
+        ++idx;
+      }
+      if (idx < count && left > 0) {
+        iov[idx].iov_base = static_cast<std::uint8_t*>(iov[idx].iov_base) + left;
+        iov[idx].iov_len -= left;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       const auto now = Clock::now();
       if (now >= deadline) return false;
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
-      const int ev = poll_one(fd, POLLOUT, remaining);
+      const int ev = poll_one(
+          fd, POLLOUT,
+          std::chrono::ceil<std::chrono::microseconds>(deadline - now));
       if (ev < 0 || (ev & (POLLERR | POLLHUP))) return false;
       continue;  // ev == 0 re-checks the deadline above
     }
@@ -324,9 +289,12 @@ struct SocketEndpoint::Link {
   Clock::time_point last_tx{};
   bool fin_sent = false;   ///< FIN written on the current connection
   bool fin_echoed = false; ///< the peer's reader echoed it: the link is done
-  /// Reused gather scratch for the coalesced flush (supervisor-only).
+  /// Reused gather scratch for the flush (supervisor-only).
   std::vector<iovec> iov_scratch;
   std::vector<HoldItem*> batch_scratch;
+  /// Reused encode scratch for HELLO2, heartbeats and FIN
+  /// (supervisor-only); its capacity persists across frames.
+  WireWriter control;
 };
 
 /// One accepted inbound connection and its reader thread.
@@ -634,9 +602,9 @@ bool SocketEndpoint::connect_link(Link* link, Clock::time_point now) {
       return fail(false);
     }
   }
-  const std::vector<std::uint8_t> hello =
-      encode_hello2(node_, hosted_group_ids_);
-  if (!write_all(fd, hello.data(), hello.size(), options_.send_timeout)) {
+  link->control.clear();
+  encode_hello2_into(node_, hosted_group_ids_, link->control);
+  if (!write_frames(fd, link->control, options_.send_timeout)) {
     ::close(fd);
     return fail(false);
   }
@@ -662,30 +630,19 @@ void SocketEndpoint::drop_connection(Link* link) {
   }
 }
 
-/// Sends everything queued beyond sent_up_to.  Returns false when the
+/// Sends the next batch queued beyond sent_up_to.  Returns false when the
 /// connection broke (caller redials).
 ///
-/// Two paths share the hold queue's invariants.  Chaos inactive (the
-/// steady state): the coalesced path gathers every pending frame into an
-/// iovec batch and ships it with one writev-style syscall.  Chaos active
-/// and scoped to this link: the per-frame path keeps the original
-/// frame-boundary injection points and, crucially, the original RNG draw
-/// order (reset -> stall -> short-write per frame), so seeded chaos runs
-/// replay identically to the pre-batching transport.  The split cannot
-/// flip mid-call: with `now` fixed, chaos_active() only changes through
-/// expedited_, which moves one way (off).
-bool SocketEndpoint::flush_link(Link* link, Clock::time_point now) {
-  if (chaos_active(now) && chaos_scoped(link)) {
-    return flush_link_chaos(link, now);
-  }
-  return flush_link_batched(link, now);
-}
-
-/// The coalesced steady-state flush.  Gathers pointers under the lock,
-/// writes without it: deque elements are reference-stable under the
-/// dispatchers' push_back, and the supervisor (this thread) is the only
-/// popper, so the iovec views over hold-queue bytes stay valid for the
-/// whole write.
+/// Gathers pointers under the lock, writes without it: deque elements are
+/// reference-stable under the dispatchers' push_back, and the supervisor
+/// (this thread) is the only popper, so the iovec views over hold-queue
+/// bytes stay valid for the whole write.
+///
+/// Chaos inactive (the steady state): up to kFlushBatchFrames frames go
+/// out in one gathered write.  Chaos active and scoped to this link: the
+/// batch is ONE frame, preceded by its reset -> stall -> short-write
+/// draws in that order, so every frame is an injection opportunity and
+/// seeded chaos runs keep their RNG draw order.
 ///
 /// At most ONE batch per call: a deep backlog must not monopolize the
 /// supervisor, or the acks piling up on the reverse path never get pumped,
@@ -693,7 +650,9 @@ bool SocketEndpoint::flush_link(Link* link, Clock::time_point now) {
 /// (resending everything).  The supervisor's work_pending check skips the
 /// idle wait while frames remain, so the next batch follows immediately —
 /// after acks and the keep-alive decision get their turn.
-bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
+bool SocketEndpoint::flush_link(Link* link, Clock::time_point now) {
+  const bool chaos = chaos_active(now) && chaos_scoped(link);
+  const std::size_t cap = chaos ? 1 : kFlushBatchFrames;
   auto& iov = link->iov_scratch;
   auto& batch = link->batch_scratch;
   iov.clear();
@@ -705,8 +664,8 @@ bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
             ? 0
             : flush_resume_index(link->hold.front().seq, link->hold.size(),
                                  link->sent_up_to);
-    for (std::size_t i = start;
-         i < link->hold.size() && batch.size() < kFlushBatchFrames; ++i) {
+    for (std::size_t i = start; i < link->hold.size() && batch.size() < cap;
+         ++i) {
       HoldItem& item = link->hold[i];
       iov.push_back(iovec{
           const_cast<std::uint8_t*>(item.frame.data()), item.frame.size()});
@@ -715,13 +674,52 @@ bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
   }
   if (batch.empty()) return true;
 
+  bool dribble = false;
+  if (chaos) {
+    const WireChaosOptions& opts = options_.chaos;
+    if (link->chaos_rng.next_double() < opts.reset_prob) {
+      {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        ++link->counters.injected_resets;
+      }
+      drop_connection(link);
+      return false;
+    }
+    if (link->chaos_rng.next_double() < opts.stall_prob) {
+      {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        ++link->counters.injected_stalls;
+      }
+      std::this_thread::sleep_for(opts.stall);
+    }
+    dribble = link->chaos_rng.next_double() < opts.short_write_prob;
+    if (dribble) {
+      std::lock_guard<std::mutex> lock(counters_mutex_);
+      ++link->counters.injected_short_writes;
+    }
+  }
+
+  // One send-timeout deadline for the whole write: a dribbled frame is
+  // slowed down, its budget is not multiplied by its byte count.
+  const Clock::time_point deadline = Clock::now() + options_.send_timeout;
   long syscalls = 0;
   std::size_t written = 0;
-  const bool ok = writev_all(link->fd, iov.data(), iov.size(),
-                             options_.send_timeout, syscalls, written);
+  bool ok = true;
+  if (dribble) {
+    // Byte by byte: the peer's FrameParser must reassemble the frame from
+    // n reads of 1 byte.
+    auto* frame = static_cast<std::uint8_t*>(iov[0].iov_base);
+    for (std::size_t i = 0; ok && i < iov[0].iov_len; ++i) {
+      iovec one{frame + i, 1};
+      ok = writev_until(link->fd, &one, 1, deadline, syscalls, written);
+    }
+  } else {
+    ok = writev_until(link->fd, iov.data(), iov.size(), deadline, syscalls,
+                      written);
+  }
 
   // Only COMPLETELY shipped frames count as transmitted: a frame cut by
-  // a broken batch is redelivered (and recounted) after the reconnect.
+  // a broken write is redelivered (and recounted) after the reconnect.
   std::size_t complete = 0;
   std::size_t bytes = 0;
   while (complete < batch.size() &&
@@ -729,127 +727,37 @@ bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
     bytes += batch[complete]->frame.size();
     ++complete;
   }
+  {
+    // ever_sent flips only on a COMPLETED write: a frame whose first
+    // attempt died with the connection was never transmitted, so its
+    // eventual write is the group's first send, not a link
+    // redelivery.  Resends — the frame really left on an earlier
+    // connection — are a link event.
+    std::lock_guard<std::mutex> lock(counters_mutex_);
+    link->counters.flush_syscalls += syscalls;
+    for (std::size_t i = 0; i < complete; ++i) {
+      if (batch[i]->ever_sent) {
+        ++link->counters.envelopes_resent;
+      } else {
+        ++find_group(batch[i]->group)->counters.envelopes_sent;
+      }
+    }
+  }
   if (complete > 0) {
     // One consistent timestamp per poll cycle: the heartbeat check in
     // the supervisor compares against the same `now`, so a long flush
     // cannot skew the keep-alive decision within its own cycle.
     link->last_tx = now;
     link->sent_up_to = batch[complete - 1]->seq;
-    {
-      // ever_sent flips only on a COMPLETED write: a frame whose first
-      // attempt died with the connection was never transmitted, so its
-      // eventual write is the group's first send, not a link
-      // redelivery.  Resends — the frame really left on an earlier
-      // connection — are a link event.
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      link->counters.flush_syscalls += syscalls;
-      for (std::size_t i = 0; i < complete; ++i) {
-        if (batch[i]->ever_sent) {
-          ++link->counters.envelopes_resent;
-        } else {
-          ++find_group(batch[i]->group)->counters.envelopes_sent;
-        }
-      }
-    }
     // The supervisor is the only reader/writer of ever_sent while the
     // items are queued (stop_and_flush reads only after joining us).
     for (std::size_t i = 0; i < complete; ++i) batch[i]->ever_sent = true;
-  } else {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    link->counters.flush_syscalls += syscalls;
   }
   if (!ok) {
     drop_connection(link);
     return false;
   }
   return true;
-}
-
-/// The per-frame chaos flush: every frame is its own injection opportunity
-/// (reset -> stall -> short-write, in that draw order — seeded runs replay
-/// byte-for-byte against the original transport).  Capped at one batch's
-/// worth of frames per call for the same reason the batched flush is:
-/// acks and the keep-alive decision must interleave with a deep backlog.
-bool SocketEndpoint::flush_link_chaos(Link* link, Clock::time_point now) {
-  for (std::size_t flushed = 0; flushed < kFlushBatchFrames; ++flushed) {
-    HoldItem* item = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(link->mutex);
-      const std::size_t index =
-          link->hold.empty()
-              ? 0
-              : flush_resume_index(link->hold.front().seq, link->hold.size(),
-                                   link->sent_up_to);
-      if (index >= link->hold.size()) return true;
-      // Safe outside the lock: see flush_link_batched on reference
-      // stability and single-popper discipline.
-      item = &link->hold[index];
-    }
-
-    bool short_write = false;
-    if (chaos_active(now) && chaos_scoped(link)) {
-      const WireChaosOptions& chaos = options_.chaos;
-      if (link->chaos_rng.next_double() < chaos.reset_prob) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++link->counters.injected_resets;
-        }
-        drop_connection(link);
-        return false;
-      }
-      if (link->chaos_rng.next_double() < chaos.stall_prob) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++link->counters.injected_stalls;
-        }
-        std::this_thread::sleep_for(chaos.stall);
-      }
-      short_write = link->chaos_rng.next_double() < chaos.short_write_prob;
-    }
-
-    const std::vector<std::uint8_t>& frame = item->frame;
-    long syscalls = 0;
-    bool ok = true;
-    if (short_write) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++link->counters.injected_short_writes;
-      }
-      // Dribble the frame byte by byte: the peer's FrameParser must
-      // reassemble it from n reads of 1 byte.  The WHOLE frame is charged
-      // against one send-timeout deadline — dribbling slows a frame down,
-      // it must not multiply its budget by the byte count.
-      const Clock::time_point deadline = Clock::now() + options_.send_timeout;
-      for (std::size_t i = 0; ok && i < frame.size(); ++i) {
-        ok = write_all_until(link->fd, frame.data() + i, 1, deadline);
-        ++syscalls;
-      }
-    } else {
-      ok = write_all(link->fd, frame.data(), frame.size(),
-                     options_.send_timeout);
-      ++syscalls;
-    }
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      link->counters.flush_syscalls += syscalls;
-    }
-    if (!ok) {
-      drop_connection(link);
-      return false;
-    }
-    link->last_tx = now;  // the cycle timestamp, not Clock::now(): bug 3
-    link->sent_up_to = item->seq;
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      if (item->ever_sent) {
-        ++link->counters.envelopes_resent;
-      } else {
-        ++find_group(item->group)->counters.envelopes_sent;
-      }
-    }
-    item->ever_sent = true;
-  }
-  return true;  // batch cap reached; the supervisor comes right back
 }
 
 /// Drains acknowledgements from the connection.  Returns false when the
@@ -901,8 +809,9 @@ bool SocketEndpoint::send_fin(Link* link, Clock::time_point now) {
     std::lock_guard<std::mutex> lock(link->mutex);
     if (!link->hold.empty()) return true;  // not drained yet
   }
-  const std::vector<std::uint8_t> fin = encode_fin(link->acked);
-  if (!write_all(link->fd, fin.data(), fin.size(), options_.send_timeout)) {
+  link->control.clear();
+  encode_fin_into(link->acked, link->control);
+  if (!write_frames(link->fd, link->control, options_.send_timeout)) {
     drop_connection(link);
     return false;
   }
@@ -967,9 +876,9 @@ void SocketEndpoint::supervisor_loop(Link* link) {
         continue;
       }
       case KeepaliveAction::Heartbeat: {
-        static const std::vector<std::uint8_t> hb = encode_heartbeat();
-        if (!write_all(link->fd, hb.data(), hb.size(),
-                       options_.send_timeout)) {
+        link->control.clear();
+        encode_heartbeat_into(link->control);
+        if (!write_frames(link->fd, link->control, options_.send_timeout)) {
           drop_connection(link);
           continue;
         }
@@ -1145,8 +1054,7 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
         encode_fin_into(delivered_seq_[static_cast<std::size_t>(peer)],
                         ack_writer);
       }
-      if (!write_all(conn->fd, ack_writer.data(), ack_writer.size(),
-                     options_.send_timeout)) {
+      if (!write_frames(conn->fd, ack_writer, options_.send_timeout)) {
         break;
       }
     }

@@ -45,6 +45,12 @@
 // elicit acks on idle links, so a peer whose process is gone is detected
 // by silence (peer_silence) and the link falls back to redialing.
 //
+// One send path: every byte a link or a reader puts on a socket goes
+// through writev_until, charged against one send_timeout deadline from
+// the start of that write.  A link's flush gathers up to a batch of
+// queued frames into one write; while chaos is active on the link, each
+// frame is its own write, preceded by its fault draws.
+//
 // The wire-chaos layer fuzzes all of this from inside: seeded injected
 // connection resets, pre-write stalls, byte-at-a-time short writes,
 // connect failures, and accept-then-close, all confined to a wall-clock
@@ -59,6 +65,8 @@
 // arrived.  `linger` only bounds a peer that never says goodbye.
 
 #pragma once
+
+#include <sys/uio.h>
 
 #include <atomic>
 #include <chrono>
@@ -117,13 +125,17 @@ std::chrono::microseconds next_backoff(const BackoffPolicy& policy,
                                        std::chrono::microseconds prev,
                                        Rng& rng);
 
-/// Deadline-budgeted blocking write: the WHOLE buffer is charged against
-/// one absolute deadline, however many short writes and POLLOUT waits it
-/// takes.  This is the chaos dribble path's budget fix — a frame written
-/// byte-at-a-time must cost at most one send-timeout, not one per byte.
-/// Returns false on error or when the deadline passes first.
-bool write_all_until(int fd, const std::uint8_t* data, std::size_t len,
-                     std::chrono::steady_clock::time_point deadline);
+/// The transport's only socket write: ships `count` iovecs (sendmsg, so
+/// MSG_NOSIGNAL applies) with as few syscalls as the kernel allows, and
+/// charges the WHOLE gather against one absolute deadline, however many
+/// short writes and POLLOUT waits it takes.  Returns false on error,
+/// POLLERR/POLLHUP, or when the deadline passes first.  `syscalls` counts
+/// every send attempt; `written` accumulates the bytes shipped even when
+/// the write breaks, so the caller can tell which complete frames made it
+/// out.  Advances `iov` in place past what was written.
+bool writev_until(int fd, iovec* iov, std::size_t count,
+                  std::chrono::steady_clock::time_point deadline,
+                  long& syscalls, std::size_t& written);
 
 /// First unflushed position in a link's hold queue.  The queue's seqs are
 /// always the contiguous ascending run [front_seq, front_seq + size):
@@ -269,8 +281,9 @@ struct LinkCounters {
   long injected_stalls = 0;
   long injected_short_writes = 0;
   long injected_connect_failures = 0;
-  /// Envelope-flush syscalls (writev-style batches plus their stall
-  /// retries).  Frames per syscall = (group sends + resends) / this.
+  /// Envelope-flush syscalls: every send attempt of a flush, stall
+  /// retries and dribbled bytes included.  Frames per syscall =
+  /// (group sends + resends) / this.
   long flush_syscalls = 0;
 
   LinkCounters& operator+=(const LinkCounters& o);
@@ -433,8 +446,6 @@ class SocketEndpoint {
   void supervisor_loop(Link* link);
   bool connect_link(Link* link, Clock::time_point now);
   bool flush_link(Link* link, Clock::time_point now);
-  bool flush_link_batched(Link* link, Clock::time_point now);
-  bool flush_link_chaos(Link* link, Clock::time_point now);
   bool pump_acks(Link* link);
   bool send_fin(Link* link, Clock::time_point now);
   void note_fin(int peer);

@@ -404,38 +404,6 @@ std::size_t encode_fin_into(std::uint64_t seq, WireWriter& out) {
                       [&](WireWriter& body) { body.u64(seq); });
 }
 
-std::vector<std::uint8_t> encode_hello2(ProcessId sender,
-                                        const std::vector<GroupId>& groups) {
-  WireWriter out;
-  encode_hello2_into(sender, groups, out);
-  return out.take();
-}
-
-std::vector<std::uint8_t> encode_envelope_frame2(std::uint64_t seq,
-                                                 const NetEnvelope& envelope) {
-  WireWriter out;
-  encode_envelope_frame2_into(seq, envelope, out);
-  return out.take();
-}
-
-std::vector<std::uint8_t> encode_ack(std::uint64_t cumulative_seq) {
-  WireWriter out;
-  encode_ack_into(cumulative_seq, out);
-  return out.take();
-}
-
-std::vector<std::uint8_t> encode_heartbeat() {
-  WireWriter out;
-  encode_heartbeat_into(out);
-  return out.take();
-}
-
-std::vector<std::uint8_t> encode_fin(std::uint64_t seq) {
-  WireWriter out;
-  encode_fin_into(seq, out);
-  return out.take();
-}
-
 void patch_envelope_seq(std::vector<std::uint8_t>& frame, std::uint64_t seq) {
   if (frame.size() < kEnvelopeSeqOffset + 8) {
     throw std::invalid_argument("wire: frame too short for a seq patch");

@@ -139,29 +139,20 @@ struct Frame {
   std::vector<GroupId> hello_groups;  ///< Hello2: the dialer's hosted groups
 };
 
-/// HELLO2: advertises the dialing node and the group set it hosts.
-std::vector<std::uint8_t> encode_hello2(ProcessId sender,
-                                        const std::vector<GroupId>& groups);
-/// ENVELOPE2: carries envelope.group and the group-local envelope.sender.
-std::vector<std::uint8_t> encode_envelope_frame2(std::uint64_t seq,
-                                                 const NetEnvelope& envelope);
-std::vector<std::uint8_t> encode_ack(std::uint64_t cumulative_seq);
-std::vector<std::uint8_t> encode_heartbeat();
-std::vector<std::uint8_t> encode_fin(std::uint64_t seq);
-
-// --- zero-copy variants ------------------------------------------------------
+// --- frame encoders ---------------------------------------------------------
 //
-// Each `_into` encoder appends ONE complete frame (length prefix included)
-// to a caller-owned writer and returns the frame's byte count.  The writer
-// is not cleared first, so many frames coalesce into one buffer — the
-// transport's batched flush feeds such runs to one writev-style syscall.
-// The vector-returning encoders above are thin wrappers over these, so the
-// two forms are byte-identical by construction (the golden-equivalence
-// tests pin it anyway).
+// Each encoder appends ONE complete frame (length prefix included) to a
+// caller-owned writer and returns the frame's byte count.  The writer is
+// not cleared first, so many frames coalesce into one buffer, and a
+// reused or pool-backed writer encodes without allocating.  A caller that
+// wants the frame as its own vector encodes into a fresh writer and
+// take()s it.
 
+/// HELLO2: advertises the dialing node and the group set it hosts.
 std::size_t encode_hello2_into(ProcessId sender,
                                const std::vector<GroupId>& groups,
                                WireWriter& out);
+/// ENVELOPE2: carries envelope.group and the group-local envelope.sender.
 std::size_t encode_envelope_frame2_into(std::uint64_t seq,
                                         const NetEnvelope& envelope,
                                         WireWriter& out);

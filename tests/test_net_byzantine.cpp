@@ -166,7 +166,7 @@ TEST(LiveByzantine, ScriptedReplayOfByzantineSchedulesIsRejected) {
                std::invalid_argument);
 }
 
-TEST(SocketByzantine, AuthTargetSurvivesTheSameLiesOverTheSocketHub) {
+TEST(SocketByzantine, AuthTargetSurvivesTheSameLiesOverSockets) {
   // Same plan, real sockets: the per-receiver encode path must apply the
   // planner before framing, so mutated and forged copies cross the wire.
   const SystemConfig cfg{.n = 4, .t = 1};

@@ -29,6 +29,14 @@
 namespace indulgence {
 namespace {
 
+/// One frame as its own byte vector: a fresh writer, then take().
+template <typename Encode, typename... Args>
+std::vector<std::uint8_t> frame_bytes(Encode encode, const Args&... args) {
+  WireWriter out;
+  encode(args..., out);
+  return out.take();
+}
+
 MessagePtr roundtrip(const Message& message) {
   WireWriter w;
   encode_message(message, w);
@@ -161,9 +169,10 @@ TEST(WireCodec, EncodingAnUnregisteredTypeThrows) {
 
 TEST(FrameParser, ControlFramesRoundTrip) {
   FrameParser parser;
-  const std::vector<std::uint8_t> hello = encode_hello2(3, {});
-  const std::vector<std::uint8_t> ack = encode_ack(77);
-  const std::vector<std::uint8_t> hb = encode_heartbeat();
+  const std::vector<std::uint8_t> hello =
+      frame_bytes(encode_hello2_into, 3, std::vector<GroupId>{});
+  const std::vector<std::uint8_t> ack = frame_bytes(encode_ack_into, 77);
+  const std::vector<std::uint8_t> hb = frame_bytes(encode_heartbeat_into);
   parser.feed(hello.data(), hello.size());
   parser.feed(ack.data(), ack.size());
   parser.feed(hb.data(), hb.size());
@@ -192,7 +201,8 @@ TEST(FrameParser, EnvelopeSurvivesByteAtATimeFeeding) {
   env.target_round = 0;
   env.payload = std::make_shared<At2EstimateMessage>(
       5, ProcessSet::from_mask(0b1101));
-  const std::vector<std::uint8_t> frame = encode_envelope_frame2(42, env);
+  const std::vector<std::uint8_t> frame =
+      frame_bytes(encode_envelope_frame2_into, 42, env);
 
   FrameParser parser;
   for (std::size_t i = 0; i < frame.size(); ++i) {
@@ -218,7 +228,7 @@ TEST(FrameParser, MalformedBodyIsSkippedAndParsingContinues) {
   bad.u8(0xde);
   bad.u8(0xad);
   bad.u8(0x99);
-  const std::vector<std::uint8_t> ack = encode_ack(5);
+  const std::vector<std::uint8_t> ack = frame_bytes(encode_ack_into, 5);
 
   FrameParser parser;
   parser.feed(bad.bytes().data(), bad.bytes().size());
@@ -238,7 +248,7 @@ TEST(FrameParser, OversizeFramePoisonsTheStream) {
   EXPECT_FALSE(parser.next().has_value());
   EXPECT_TRUE(parser.poisoned());
   // Feeding more does not resurrect it.
-  const std::vector<std::uint8_t> hb = encode_heartbeat();
+  const std::vector<std::uint8_t> hb = frame_bytes(encode_heartbeat_into);
   parser.feed(hb.data(), hb.size());
   EXPECT_FALSE(parser.next().has_value());
 }
@@ -266,7 +276,8 @@ TEST(FrameParser, TrailingGarbageInBodyIsRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(WireV2, Hello2GoldenBytes) {
-  const std::vector<std::uint8_t> frame = encode_hello2(3, {0, 7});
+  const std::vector<std::uint8_t> frame =
+      frame_bytes(encode_hello2_into, 3, std::vector<GroupId>{0, 7});
   const std::vector<std::uint8_t> golden = {
       20,  0, 0, 0,           // body length
       5,                      // frame type Hello2
@@ -294,7 +305,8 @@ TEST(WireV2, Envelope2GoldenBytes) {
   env.send_round = 3;
   env.target_round = 4;
   env.payload = std::make_shared<HaltedMessage>(42);
-  const std::vector<std::uint8_t> frame = encode_envelope_frame2(7, env);
+  const std::vector<std::uint8_t> frame =
+      frame_bytes(encode_envelope_frame2_into, 7, env);
   const std::vector<std::uint8_t> golden = {
       37,   0,    0,    0,      // body length
       6,                        // frame type Envelope2
@@ -323,7 +335,8 @@ TEST(WireV2, Envelope2GoldenBytes) {
 }
 
 TEST(WireV2, FinGoldenBytes) {
-  const std::vector<std::uint8_t> frame = encode_fin(0x0102030405060708ULL);
+  const std::vector<std::uint8_t> frame =
+      frame_bytes(encode_fin_into, 0x0102030405060708ULL);
   const std::vector<std::uint8_t> golden = {
       8, 0, 0, 0,              // body length
       7,                       // frame type Fin
@@ -339,9 +352,9 @@ TEST(WireV2, FinGoldenBytes) {
 TEST(WireV2, FinSurvivesByteAtATimeFeeding) {
   // A FIN split across reads, between an ack and a heartbeat: the parser
   // must hand back all three, in order, whatever the read boundaries.
-  std::vector<std::uint8_t> stream = encode_ack(9);
-  const std::vector<std::uint8_t> fin = encode_fin(41);
-  const std::vector<std::uint8_t> hb = encode_heartbeat();
+  std::vector<std::uint8_t> stream = frame_bytes(encode_ack_into, 9);
+  const std::vector<std::uint8_t> fin = frame_bytes(encode_fin_into, 41);
+  const std::vector<std::uint8_t> hb = frame_bytes(encode_heartbeat_into);
   stream.insert(stream.end(), fin.begin(), fin.end());
   stream.insert(stream.end(), hb.begin(), hb.end());
 
@@ -371,7 +384,7 @@ TEST(WireV2, MalformedFinIsRejectedAndParsingContinues) {
   bad.u8(static_cast<std::uint8_t>(FrameType::Fin));
   bad.u64(7);
   bad.u8(0);
-  const std::vector<std::uint8_t> good = encode_fin(12);
+  const std::vector<std::uint8_t> good = frame_bytes(encode_fin_into, 12);
 
   FrameParser parser;
   parser.feed(bad.bytes().data(), bad.bytes().size());
@@ -391,7 +404,8 @@ TEST(WireV2, Envelope2SurvivesByteAtATimeFeeding) {
   env.send_round = 6;
   env.payload = std::make_shared<At2EstimateMessage>(
       5, ProcessSet::from_mask(0b1101));
-  const std::vector<std::uint8_t> frame = encode_envelope_frame2(42, env);
+  const std::vector<std::uint8_t> frame =
+      frame_bytes(encode_envelope_frame2_into, 42, env);
 
   FrameParser parser;
   for (std::size_t i = 0; i < frame.size(); ++i) {
@@ -429,7 +443,8 @@ TEST(WireV2, RetiredV1FramesAreSkippedFrameByFrame) {
   env.sender = 1;
   env.send_round = 2;
   env.payload = std::make_shared<DecideMessage>(-7);
-  const std::vector<std::uint8_t> envelope2 = encode_envelope_frame2(10, env);
+  const std::vector<std::uint8_t> envelope2 =
+      frame_bytes(encode_envelope_frame2_into, 10, env);
 
   FrameParser parser;
   parser.feed(v1.data(), v1.size());
@@ -451,9 +466,10 @@ TEST(WireV2, Hello2OfAnotherVersionIsSkipped) {
   // frame — its sender never becomes the link's peer — and the ACK behind
   // it still parses.
   for (const std::uint32_t version : {1u, 3u}) {
-    std::vector<std::uint8_t> hello = encode_hello2(3, {0, 7});
+    std::vector<std::uint8_t> hello =
+        frame_bytes(encode_hello2_into, 3, std::vector<GroupId>{0, 7});
     hello[5] = static_cast<std::uint8_t>(version);  // the version's low byte
-    const std::vector<std::uint8_t> ack = encode_ack(5);
+    const std::vector<std::uint8_t> ack = frame_bytes(encode_ack_into, 5);
 
     FrameParser parser;
     parser.feed(hello.data(), hello.size());
@@ -480,7 +496,7 @@ TEST(WireV2, Hello2OverstatedGroupCountIsSkippedNotAllocated) {
   w.u32(static_cast<std::uint32_t>(body.bytes().size()));
   w.u8(static_cast<std::uint8_t>(FrameType::Hello2));
   for (std::uint8_t b : body.bytes()) w.u8(b);
-  const std::vector<std::uint8_t> ack = encode_ack(5);
+  const std::vector<std::uint8_t> ack = frame_bytes(encode_ack_into, 5);
 
   FrameParser parser;
   parser.feed(w.bytes().data(), w.bytes().size());
@@ -501,7 +517,8 @@ TEST(WireV2, Envelope2TruncatedGroupTagIsSkippedNotThrown) {
   env.sender = 1;
   env.send_round = 2;
   env.payload = std::make_shared<HaltedMessage>(8);
-  const std::vector<std::uint8_t> full = encode_envelope_frame2(1, env);
+  const std::vector<std::uint8_t> full =
+      frame_bytes(encode_envelope_frame2_into, 1, env);
   const std::size_t header = 5;  // u32 length + u8 type
   for (std::size_t body_len = 0; body_len + header < full.size();
        ++body_len) {
@@ -509,7 +526,7 @@ TEST(WireV2, Envelope2TruncatedGroupTagIsSkippedNotThrown) {
     w.u32(static_cast<std::uint32_t>(body_len));
     w.u8(static_cast<std::uint8_t>(FrameType::Envelope2));
     for (std::size_t i = 0; i < body_len; ++i) w.u8(full[header + i]);
-    const std::vector<std::uint8_t> hb = encode_heartbeat();
+    const std::vector<std::uint8_t> hb = frame_bytes(encode_heartbeat_into);
 
     FrameParser parser;
     parser.feed(w.bytes().data(), w.bytes().size());
@@ -562,8 +579,9 @@ TEST(FrameParserFuzz, EveryBitFlipOfARealFrameIsSurvivable) {
   env.target_round = 7;
   env.payload = std::make_shared<AuthProposeMessage>(
       2, 7, 2, 33, 1, 33, ProcessSet::from_mask(0b1101));
-  const std::vector<std::uint8_t> frame = encode_envelope_frame2(5, env);
-  const std::vector<std::uint8_t> hb = encode_heartbeat();
+  const std::vector<std::uint8_t> frame =
+      frame_bytes(encode_envelope_frame2_into, 5, env);
+  const std::vector<std::uint8_t> hb = frame_bytes(encode_heartbeat_into);
   for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
     std::vector<std::uint8_t> mutated = frame;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
@@ -583,8 +601,8 @@ TEST(FrameParserFuzz, EveryBitFlipOfARealFrameIsSurvivable) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy (`_into`) encoders: golden equivalence with the legacy
-// vector-returning forms, coalesced multi-frame buffers, and the buffer pool
+// Appending encoders: coalesced multi-frame buffers, seq patching, and the
+// buffer pool
 // ---------------------------------------------------------------------------
 
 /// One representative instance of every tag in the closed message registry.
@@ -633,48 +651,19 @@ NetEnvelope envelope_of(MessagePtr payload) {
   return env;
 }
 
-TEST(WireInto, ControlFramesMatchLegacyBytes) {
-  WireWriter w;
-  const std::vector<GroupId> groups{0, 2, 5};
-  const std::size_t hello_len = encode_hello2_into(4, groups, w);
-  EXPECT_EQ(w.bytes(), encode_hello2(4, groups));
-  EXPECT_EQ(hello_len, w.size());
-
-  w.clear();
-  encode_ack_into(0xdeadbeefcafeULL, w);
-  EXPECT_EQ(w.bytes(), encode_ack(0xdeadbeefcafeULL));
-
-  w.clear();
-  encode_heartbeat_into(w);
-  EXPECT_EQ(w.bytes(), encode_heartbeat());
-  w.clear();
-  encode_fin_into(0xdeadbeefcafeULL, w);
-  EXPECT_EQ(w.bytes(), encode_fin(0xdeadbeefcafeULL));
-}
-
-TEST(WireInto, EnvelopeFramesMatchLegacyBytesForEveryRegistryTag) {
-  for (const MessagePtr& payload : registry_samples()) {
-    const NetEnvelope env = envelope_of(payload);
-    WireWriter w;
-    const std::size_t n2 = encode_envelope_frame2_into(92, env, w);
-    EXPECT_EQ(w.bytes(), encode_envelope_frame2(92, env))
-        << payload->describe();
-    EXPECT_EQ(n2, w.size()) << payload->describe();
-  }
-}
-
 TEST(WireInto, AppendsWithoutClearingSoFramesCoalesce) {
-  // The batched flush relies on `_into` appending: many frames in one
-  // buffer, each starting where the previous ended.
+  // Encoders append: many frames in one buffer, each starting where the
+  // previous ended (the reader's ACK and FIN echo share one write).
   const NetEnvelope env = envelope_of(std::make_shared<DecideMessage>(5));
   WireWriter w;
   const std::size_t a = encode_heartbeat_into(w);
   const std::size_t b = encode_envelope_frame2_into(1, env, w);
   const std::size_t c = encode_ack_into(9, w);
   EXPECT_EQ(w.size(), a + b + c);
-  std::vector<std::uint8_t> expected = encode_heartbeat();
-  const std::vector<std::uint8_t> mid = encode_envelope_frame2(1, env);
-  const std::vector<std::uint8_t> tail = encode_ack(9);
+  std::vector<std::uint8_t> expected = frame_bytes(encode_heartbeat_into);
+  const std::vector<std::uint8_t> mid =
+      frame_bytes(encode_envelope_frame2_into, 1, env);
+  const std::vector<std::uint8_t> tail = frame_bytes(encode_ack_into, 9);
   expected.insert(expected.end(), mid.begin(), mid.end());
   expected.insert(expected.end(), tail.begin(), tail.end());
   EXPECT_EQ(w.bytes(), expected);
@@ -722,9 +711,11 @@ TEST(WireInto, CoalescedBatchSurvivesArbitraryFragmentation) {
 
 TEST(WireInto, PatchEnvelopeSeqRewritesOnlyTheSeqField) {
   const NetEnvelope env = envelope_of(std::make_shared<HrVoteMessage>(6));
-  std::vector<std::uint8_t> patched = encode_envelope_frame2(0, env);
+  std::vector<std::uint8_t> patched =
+      frame_bytes(encode_envelope_frame2_into, 0, env);
   patch_envelope_seq(patched, 0x0102030405060708ULL);
-  EXPECT_EQ(patched, encode_envelope_frame2(0x0102030405060708ULL, env));
+  EXPECT_EQ(patched, frame_bytes(encode_envelope_frame2_into,
+                                0x0102030405060708ULL, env));
 }
 
 TEST(FrameBufferPool, RecyclesBuffersAndCountsReuse) {

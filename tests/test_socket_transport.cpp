@@ -336,14 +336,14 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
 }
 
 // ---------------------------------------------------------------------------
-// Full consensus runs of LiveRuntime over sockets.  The suite keeps its
-// historical name; the runs are group 0 of an in-process fabric.
+// Full consensus runs of LiveRuntime over sockets: group 0 of an
+// in-process fabric.
 // ---------------------------------------------------------------------------
 
-RunResult run_over_hub(SocketAddress::Kind kind,
-                       const SocketTransportOptions& socket_options,
-                       SocketCounters* counters_out,
-                       LiveOptions options = {}) {
+RunResult run_over_sockets(SocketAddress::Kind kind,
+                           const SocketTransportOptions& socket_options,
+                           SocketCounters* counters_out,
+                           LiveOptions options = {}) {
   const SystemConfig cfg{.n = 3, .t = 1};
   const FuzzTarget* target = find_fuzz_target("hr");
   EXPECT_NE(target, nullptr);
@@ -356,30 +356,30 @@ RunResult run_over_hub(SocketAddress::Kind kind,
   return result;
 }
 
-TEST(SocketHub, CleanUdsRunSatisfiesTheValidator) {
+TEST(SocketRun, CleanUdsRunSatisfiesTheValidator) {
   SocketCounters counters;
   SocketTransportOptions opts;
   opts.seed = 21;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Unix, opts, &counters);
+      run_over_sockets(SocketAddress::Kind::Unix, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_GT(counters.envelopes_delivered, 0);
   EXPECT_EQ(counters.injected_resets, 0);
 }
 
-TEST(SocketHub, CleanTcpRunSatisfiesTheValidator) {
+TEST(SocketRun, CleanTcpRunSatisfiesTheValidator) {
   SocketCounters counters;
   SocketTransportOptions opts;
   opts.seed = 22;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Tcp, opts, &counters);
+      run_over_sockets(SocketAddress::Kind::Tcp, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_GT(counters.envelopes_delivered, 0);
 }
 
-TEST(SocketHub, ChaoticUdsRunStillDecidesAndValidates) {
+TEST(SocketRun, ChaoticUdsRunStillDecidesAndValidates) {
   // Heavy seeded chaos for the first 400ms: resets, stalls, short writes,
   // failed connects, accept-close.  Indulgence prices this as delay, never
   // as loss — the run must still terminate and the merged trace must still
@@ -396,7 +396,7 @@ TEST(SocketHub, ChaoticUdsRunStillDecidesAndValidates) {
   opts.chaos.short_write_prob = 0.3;
   SocketCounters counters;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Unix, opts, &counters);
+      run_over_sockets(SocketAddress::Kind::Unix, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   const long injected = counters.injected_resets + counters.injected_stalls +
@@ -406,7 +406,7 @@ TEST(SocketHub, ChaoticUdsRunStillDecidesAndValidates) {
   EXPECT_GT(injected, 0) << "chaos layer never fired";
 }
 
-TEST(SocketHub, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
+TEST(SocketRun, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
   // Reset-heavy chaos forces the reliable channels to replay their send
   // windows on reconnect, so some envelopes genuinely travel twice.  A
   // duplicate copy reaching a driver must not count a second time toward
@@ -421,7 +421,7 @@ TEST(SocketHub, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
   opts.chaos.reset_prob = 0.9;
   SocketCounters counters;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Unix, opts, &counters);
+      run_over_sockets(SocketAddress::Kind::Unix, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_GT(counters.injected_resets, 0) << "chaos never reset a link";
@@ -437,7 +437,7 @@ void expect_crash_survived(SocketAddress::Kind kind) {
   SocketTransportOptions opts;
   opts.seed = 41;
   SocketCounters counters;
-  const RunResult result = run_over_hub(kind, opts, &counters, options);
+  const RunResult result = run_over_sockets(kind, opts, &counters, options);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_TRUE(result.trace.crashed().contains(2));
@@ -492,7 +492,7 @@ TEST(SocketCrash, GroupPortMarkDeadDropsCopiesToThatReplicaOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched flush: resume arithmetic, timeout budgets, keepalive boundaries
+// The flush: resume arithmetic, write deadlines, keepalive boundaries
 // ---------------------------------------------------------------------------
 
 TEST(FlushResumeIndex, ArithmeticCoversTheStateSpace) {
@@ -545,21 +545,31 @@ TEST(Keepalive, BoundariesAreStrictAndSilenceOutranksHeartbeat) {
             KeepaliveAction::Heartbeat);
 }
 
-TEST(WriteAllUntil, WholeBufferChargedAgainstOneDeadline) {
-  // Fill a socketpair until the kernel buffer is solid, then try to push
-  // one more chunk with a short deadline: the old code charged one
-  // send_timeout PER write_all call (per byte on the dribble path); the
-  // budget fix must give up when the single absolute deadline passes.
-  int fds[2];
+/// A socketpair whose first end is non-blocking and whose send buffer is
+/// full, so the next write stalls until the peer reads.
+void fill_socketpair(int fds[2]) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const int flags = ::fcntl(fds[0], F_GETFL, 0);
   ASSERT_EQ(::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK), 0);
   std::vector<std::uint8_t> junk(1 << 16, 0xcd);
   while (::send(fds[0], junk.data(), junk.size(), MSG_NOSIGNAL) > 0) {
   }
+}
+
+TEST(WritevUntil, WholeBufferChargedAgainstOneDeadline) {
+  // Fill a socketpair until the kernel buffer is solid, then try to push
+  // one more chunk with a short deadline: a per-stall (or, on the dribble
+  // path, per-byte) timeout would stack budgets; the single absolute
+  // deadline must give up when it passes.
+  int fds[2];
+  fill_socketpair(fds);
+  std::vector<std::uint8_t> junk(1 << 16, 0xcd);
+  iovec iov{junk.data(), junk.size()};
+  long syscalls = 0;
+  std::size_t written = 0;
   const auto start = std::chrono::steady_clock::now();
   const auto deadline = start + std::chrono::milliseconds{50};
-  EXPECT_FALSE(write_all_until(fds[0], junk.data(), junk.size(), deadline));
+  EXPECT_FALSE(writev_until(fds[0], &iov, 1, deadline, syscalls, written));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   // Generous ceiling: well under even TWO stacked budgets, so a per-call
   // (let alone per-byte) timeout regression fails loudly.
@@ -568,7 +578,27 @@ TEST(WriteAllUntil, WholeBufferChargedAgainstOneDeadline) {
   ::close(fds[1]);
 }
 
-TEST(WriteAllUntil, DrainedPeerLetsTheWriteFinish) {
+TEST(WritevUntil, SubMillisecondDeadlineWaitsInsteadOfSpinning) {
+  // A deadline 500 us away: the POLLOUT wait must sleep it out.  A poll
+  // timeout truncated to whole milliseconds is poll(..., 0), and the
+  // write would retry hundreds of times before the deadline passes.
+  int fds[2];
+  fill_socketpair(fds);
+  std::uint8_t byte = 0xee;
+  iovec iov{&byte, 1};
+  long syscalls = 0;
+  std::size_t written = 0;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(writev_until(fds[0], &iov, 1, start + 500us, syscalls,
+                            written));
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 500us);
+  EXPECT_LE(syscalls, 3);
+  EXPECT_EQ(written, 0u);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(WritevUntil, DrainedPeerLetsTheWriteFinish) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::vector<std::uint8_t> payload(1 << 20, 0xee);
@@ -581,10 +611,12 @@ TEST(WriteAllUntil, DrainedPeerLetsTheWriteFinish) {
       got += static_cast<std::size_t>(n);
     }
   });
+  iovec iov{payload.data(), payload.size()};
+  long syscalls = 0;
+  std::size_t written = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds{5};
-  EXPECT_TRUE(
-      write_all_until(fds[0], payload.data(), payload.size(), deadline));
+  EXPECT_TRUE(writev_until(fds[0], &iov, 1, deadline, syscalls, written));
   ::close(fds[0]);
   drain.join();
   ::close(fds[1]);
@@ -699,6 +731,62 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
   // ~37-byte frames at 100% short-write probability: the per-byte budget
   // bug allowed minutes; one deadline per frame keeps this in seconds.
   EXPECT_LT(elapsed, std::chrono::seconds{60});
+  endpoints.clear();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SocketEndpoint, ChaosOnOneLinkDoesNotDebatchTheOthers) {
+  // Node 0 dribbles every frame on its link to node 1 (chaos scoped there
+  // with only_node) while a deep backlog waits for both peers: the chaotic
+  // link writes one frame at a time, the clean link to node 2 must keep
+  // shipping coalesced batches from the same flush.
+  constexpr int kBacklog = 2'000;
+  const SystemConfig cfg{.n = 3, .t = 1};
+  const std::string dir = fresh_socket_dir();
+  std::vector<SocketAddress> addrs;
+  for (int i = 0; i < cfg.n; ++i) {
+    addrs.push_back(
+        SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
+  }
+  std::vector<std::unique_ptr<Mailbox>> mailboxes;
+  std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
+  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+    mailboxes.push_back(std::make_unique<Mailbox>(kBacklog + 64));
+    SocketTransportOptions opts;
+    opts.seed = 1200 + static_cast<std::uint64_t>(pid);
+    if (pid == 0) {
+      opts.chaos.seed = 1300;
+      opts.chaos.until = std::chrono::hours{1};
+      opts.chaos.short_write_prob = 1.0;
+      opts.chaos.only_node = 1;
+    }
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.back()->add_group(
+        identity_group(pid, cfg, mailboxes.back().get()));
+  }
+  for (int i = 0; i < kBacklog; ++i) {
+    endpoints[0]->dispatch_group(
+        0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{i}));
+  }
+  const auto epoch = std::chrono::steady_clock::now();
+  for (auto& ep : endpoints) ep->start(epoch);
+  for (ProcessId pid = 1; pid < cfg.n; ++pid) {
+    for (int i = 0; i < kBacklog; ++i) {
+      ASSERT_TRUE(mailboxes[static_cast<std::size_t>(pid)]->pop_for(30s))
+          << "p" << pid << " copy " << i;
+    }
+  }
+  EXPECT_TRUE(stop_and_flush_all(endpoints).empty());
+
+  const LinkCounters chaotic = endpoints[0]->link_counters(1);
+  EXPECT_GT(chaotic.injected_short_writes, 0);
+  const LinkCounters clean = endpoints[0]->link_counters(2);
+  EXPECT_EQ(clean.injected_short_writes, 0);
+  ASSERT_GT(clean.flush_syscalls, 0);
+  const double frames_per_syscall =
+      static_cast<double>(kBacklog + clean.envelopes_resent) /
+      static_cast<double>(clean.flush_syscalls);
+  EXPECT_GE(frames_per_syscall, 4.0);
   endpoints.clear();
   std::filesystem::remove_all(dir);
 }
@@ -844,7 +932,7 @@ TEST(SocketTeardown, PeerThatNeverSaysFinIsBoundedByLinger) {
   for (const UndeliveredCopy& copy : rest) EXPECT_EQ(copy.receiver, 2);
 }
 
-TEST(SocketHub, At2RunsOverSocketsToo) {
+TEST(SocketRun, At2RunsOverSocketsToo) {
   const SystemConfig cfg{.n = 4, .t = 1};
   const FuzzTarget* target = find_fuzz_target("at2");
   ASSERT_NE(target, nullptr);
