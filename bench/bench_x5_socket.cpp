@@ -177,17 +177,13 @@ int main() {
         out.seconds > 0 ? static_cast<double>(kSlots) / out.seconds : 0;
     const double p50 = bench::percentile_of(out.latencies_us, 0.50);
     const double p99 = bench::percentile_of(out.latencies_us, 0.99);
-    const long injected = c.injected_resets + c.injected_stalls +
-                          c.injected_short_writes +
-                          c.injected_connect_failures +
-                          c.injected_accept_closes;
     std::fprintf(
         stderr,
         "X5-socket n=%d %-12s %2d rounds, %6.0f commits/s, commit latency "
         "p50 %7.0f us  p99 %7.0f us | %ld reconnects, %ld resends, %ld "
         "injected faults\n",
         cell.cfg.n, cell.scenario.c_str(), out.rounds, commits_per_sec, p50,
-        p99, c.reconnects, c.envelopes_resent, injected);
+        p99, c.reconnects, c.envelopes_resent, c.injected_faults());
     json.begin_object();
     json.key("n").value(cell.cfg.n);
     json.key("t").value(cell.cfg.t);
@@ -205,7 +201,7 @@ int main() {
     json.key("flush_syscalls").value(c.flush_syscalls);
     json.key("duplicates_dropped").value(c.duplicates_dropped);
     json.key("peer_timeouts").value(c.peer_timeouts);
-    json.key("injected_faults").value(injected);
+    json.key("injected_faults").value(c.injected_faults());
     json.end_object();
     json.end_object();
     if (cell.cfg.n == 3 && cell.scenario == "UDS") {

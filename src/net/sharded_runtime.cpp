@@ -126,8 +126,8 @@ SocketCounters LocalFabric::counters() const {
   return total;
 }
 
-GroupCounters LocalFabric::group_counters(GroupId group) const {
-  GroupCounters total;  // endpoints not hosting the group add zeros
+SocketCounters LocalFabric::group_counters(GroupId group) const {
+  SocketCounters total;  // endpoints not hosting the group add zeros
   for (const auto& endpoint : endpoints_) {
     total += endpoint->group_counters(group);
   }

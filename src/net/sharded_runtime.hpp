@@ -71,13 +71,14 @@ struct ShardedOptions {
 };
 
 /// What one group produced: the validated per-group RunResult, its replica
-/// instances (RSM log inspection), its traffic counters summed over the
-/// hosting endpoints, and its wall-clock span (epoch to the last of its
-/// drivers exiting) for per-group latency percentiles.
+/// instances (RSM log inspection), its traffic counters (the group-owned
+/// SocketCounters fields) summed over the hosting endpoints, and its
+/// wall-clock span (epoch to the last of its drivers exiting) for
+/// per-group latency percentiles.
 struct GroupOutcome {
   RunResult result;
   AlgorithmInstances algorithms;
-  GroupCounters traffic;
+  SocketCounters traffic;
   std::chrono::microseconds wall{0};
 };
 
@@ -92,7 +93,7 @@ struct ShardedResult {
   bool all_valid() const;
 };
 
-/// Per-group algorithm factory (the RSM needs per-group command queues)
+/// Per-group algorithm factory (the RSM needs per-group command sources)
 /// and proposals (one per group-local replica).
 using GroupFactory = std::function<AlgorithmFactory(GroupId)>;
 using GroupProposals = std::function<std::vector<Value>(GroupId)>;
@@ -120,7 +121,7 @@ class LocalFabric {
   std::vector<UndeliveredCopy> stop_and_flush();
 
   SocketCounters counters() const;  ///< summed over the endpoints
-  GroupCounters group_counters(GroupId group) const;
+  SocketCounters group_counters(GroupId group) const;
 
  private:
   std::string dir_;  ///< UDS socket directory (empty for TCP)

@@ -193,48 +193,6 @@ bool writev_until(int fd, iovec* iov, std::size_t count,
   return true;
 }
 
-LinkCounters& LinkCounters::operator+=(const LinkCounters& o) {
-  connect_attempts += o.connect_attempts;
-  connect_failures += o.connect_failures;
-  reconnects += o.reconnects;
-  envelopes_resent += o.envelopes_resent;
-  heartbeats_sent += o.heartbeats_sent;
-  peer_timeouts += o.peer_timeouts;
-  injected_resets += o.injected_resets;
-  injected_stalls += o.injected_stalls;
-  injected_short_writes += o.injected_short_writes;
-  injected_connect_failures += o.injected_connect_failures;
-  flush_syscalls += o.flush_syscalls;
-  return *this;
-}
-
-GroupCounters& GroupCounters::operator+=(const GroupCounters& o) {
-  envelopes_sent += o.envelopes_sent;
-  envelopes_delivered += o.envelopes_delivered;
-  duplicates_dropped += o.duplicates_dropped;
-  return *this;
-}
-
-SocketCounters& SocketCounters::operator+=(const SocketCounters& o) {
-  connect_attempts += o.connect_attempts;
-  connect_failures += o.connect_failures;
-  reconnects += o.reconnects;
-  envelopes_sent += o.envelopes_sent;
-  envelopes_resent += o.envelopes_resent;
-  envelopes_delivered += o.envelopes_delivered;
-  duplicates_dropped += o.duplicates_dropped;
-  heartbeats_sent += o.heartbeats_sent;
-  peer_timeouts += o.peer_timeouts;
-  injected_resets += o.injected_resets;
-  injected_stalls += o.injected_stalls;
-  injected_short_writes += o.injected_short_writes;
-  injected_connect_failures += o.injected_connect_failures;
-  injected_accept_closes += o.injected_accept_closes;
-  demux_drops += o.demux_drops;
-  flush_syscalls += o.flush_syscalls;
-  return *this;
-}
-
 // ---------------------------------------------------------------------------
 // SocketEndpoint internals
 
@@ -275,7 +233,7 @@ struct SocketEndpoint::Link {
   std::deque<HoldItem> hold;
   std::uint64_t next_seq = 1;
 
-  LinkCounters counters;  ///< guarded by the endpoint's counters_mutex_
+  SocketCounters counters;  ///< link-owned; guarded by counters_mutex_
 
   // Supervisor-thread-only state.
   int fd = -1;
@@ -310,7 +268,7 @@ struct SocketEndpoint::GroupState {
   GroupSpec spec;
   std::atomic<bool> dead{false};
   bool expedited = false;  ///< guarded by expedite_mutex_
-  GroupCounters counters;  ///< guarded by counters_mutex_
+  SocketCounters counters;  ///< group-owned; guarded by counters_mutex_
   std::vector<UndeliveredCopy> stash;  ///< filled by stop_and_flush_group
 };
 
@@ -1156,38 +1114,21 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush_group(
 SocketCounters SocketEndpoint::counters() const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   SocketCounters total = misc_;
-  for (const auto& link : links_) {
-    total.connect_attempts += link->counters.connect_attempts;
-    total.connect_failures += link->counters.connect_failures;
-    total.reconnects += link->counters.reconnects;
-    total.envelopes_resent += link->counters.envelopes_resent;
-    total.heartbeats_sent += link->counters.heartbeats_sent;
-    total.peer_timeouts += link->counters.peer_timeouts;
-    total.injected_resets += link->counters.injected_resets;
-    total.injected_stalls += link->counters.injected_stalls;
-    total.injected_short_writes += link->counters.injected_short_writes;
-    total.injected_connect_failures +=
-        link->counters.injected_connect_failures;
-    total.flush_syscalls += link->counters.flush_syscalls;
-  }
-  for (const auto& [group, state] : groups_) {
-    total.envelopes_sent += state->counters.envelopes_sent;
-    total.envelopes_delivered += state->counters.envelopes_delivered;
-    total.duplicates_dropped += state->counters.duplicates_dropped;
-  }
+  for (const auto& link : links_) total += link->counters;
+  for (const auto& [group, state] : groups_) total += state->counters;
   return total;
 }
 
-LinkCounters SocketEndpoint::link_counters(int node) const {
+SocketCounters SocketEndpoint::link_counters(int node) const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   const Link* link = link_for_node(node);
-  return link != nullptr ? link->counters : LinkCounters{};
+  return link != nullptr ? link->counters : SocketCounters{};
 }
 
-GroupCounters SocketEndpoint::group_counters(GroupId group) const {
+SocketCounters SocketEndpoint::group_counters(GroupId group) const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   const GroupState* state = find_group(group);
-  return state != nullptr ? state->counters : GroupCounters{};
+  return state != nullptr ? state->counters : SocketCounters{};
 }
 
 std::vector<GroupId> SocketEndpoint::peer_advertised_groups(int node) const {

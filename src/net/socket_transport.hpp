@@ -68,6 +68,7 @@
 
 #include <sys/uio.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -267,47 +268,26 @@ inline KeepaliveAction keepalive_action(
   return KeepaliveAction::None;
 }
 
-/// Connection-lifecycle observability, kept per peer link so a reconnect
-/// storm on one peer cannot be misattributed to a healthy group that never
-/// uses that link.
-struct LinkCounters {
-  long connect_attempts = 0;
-  long connect_failures = 0;   ///< includes injected ones
-  long reconnects = 0;         ///< successful connects after the first
-  long envelopes_resent = 0;   ///< link-caused redeliveries after reconnect
-  long heartbeats_sent = 0;
-  long peer_timeouts = 0;      ///< connections dropped for silence
-  long injected_resets = 0;
-  long injected_stalls = 0;
-  long injected_short_writes = 0;
-  long injected_connect_failures = 0;
-  /// Envelope-flush syscalls: every send attempt of a flush, stall
-  /// retries and dribbled bytes included.  Frames per syscall =
-  /// (group sends + resends) / this.
-  long flush_syscalls = 0;
-
-  LinkCounters& operator+=(const LinkCounters& o);
-};
-
-/// Traffic observability, kept per consensus group: what the demux layer
-/// attributed to each group's replicas.
-struct GroupCounters {
-  long envelopes_sent = 0;
-  long envelopes_delivered = 0;
-  long duplicates_dropped = 0;
-
-  GroupCounters& operator+=(const GroupCounters& o);
-};
-
-/// The endpoint-wide aggregate (links + groups + accept-side events); the
-/// X5/X6 benches and the multi-process demos report these, and the shipped
-/// log format persists them.
+/// Socket-fabric observability, one type at every scope.  Each event is
+/// charged where it happens, so a reconnect storm on one peer link cannot
+/// be misattributed to a healthy group that never uses that link:
+///   * a peer LINK owns connection trouble and flush work (connect
+///     attempts/failures, reconnects, resends, heartbeats, peer timeouts,
+///     the four link-side injections, flush syscalls);
+///   * a hosted GROUP owns its traffic (sent, delivered, duplicates of
+///     routable copies);
+///   * the endpoint itself owns what no link or group does (accept-side
+///     injections, demux drops, duplicates of unroutable copies).
+/// Fields a scope does not own stay zero there, and the endpoint-wide
+/// counters() is the plain sum of all three.  The X5/X6 benches and the
+/// multi-process demos report these, and the shipped log format persists
+/// them.
 struct SocketCounters {
   long connect_attempts = 0;
   long connect_failures = 0;   ///< includes injected ones
   long reconnects = 0;         ///< successful connects after the first
   long envelopes_sent = 0;
-  long envelopes_resent = 0;   ///< redeliveries after reconnect
+  long envelopes_resent = 0;   ///< link-caused redeliveries after reconnect
   long envelopes_delivered = 0;
   long duplicates_dropped = 0;
   long heartbeats_sent = 0;
@@ -320,12 +300,37 @@ struct SocketCounters {
   /// Well-formed envelopes no hosted group owned (unknown group, spoofed
   /// or misplaced sender).  Acked at the link layer, dropped by the demux.
   long demux_drops = 0;
-  /// Envelope-flush syscalls across all links; the coalesced flush ships
-  /// many frames per syscall, so (sent + resent) / flush_syscalls is the
-  /// batching factor the E10 transport microbench tracks.
+  /// Envelope-flush syscalls: every send attempt of a flush, stall retries
+  /// and dribbled bytes included.  The coalesced flush ships many frames
+  /// per syscall, so (sent + resent) / flush_syscalls is the batching
+  /// factor the E10 transport microbench tracks.
   long flush_syscalls = 0;
 
-  SocketCounters& operator+=(const SocketCounters& o);
+  /// Every field, in declaration order: the one list that summing and the
+  /// shipped log format (net/trace_ship) walk.
+  static constexpr std::array<long SocketCounters::*, 16> fields() {
+    using S = SocketCounters;
+    return {&S::connect_attempts,   &S::connect_failures,
+            &S::reconnects,         &S::envelopes_sent,
+            &S::envelopes_resent,   &S::envelopes_delivered,
+            &S::duplicates_dropped, &S::heartbeats_sent,
+            &S::peer_timeouts,      &S::injected_resets,
+            &S::injected_stalls,    &S::injected_short_writes,
+            &S::injected_connect_failures,
+            &S::injected_accept_closes,
+            &S::demux_drops,        &S::flush_syscalls};
+  }
+
+  SocketCounters& operator+=(const SocketCounters& o) {
+    for (long SocketCounters::*f : fields()) this->*f += o.*f;
+    return *this;
+  }
+
+  /// Every fault the wire-chaos layer injected, whatever its kind.
+  long injected_faults() const {
+    return injected_resets + injected_stalls + injected_short_writes +
+           injected_connect_failures + injected_accept_closes;
+  }
 };
 
 /// Resolves a peer's address at connect time.  Multi-process TCP runs use
@@ -422,9 +427,12 @@ class SocketEndpoint {
 
   // --- observability --------------------------------------------------------
 
-  SocketCounters counters() const;  ///< endpoint-wide aggregate
-  LinkCounters link_counters(int node) const;
-  GroupCounters group_counters(GroupId group) const;
+  /// Endpoint-wide: the endpoint's own events plus every link and group.
+  SocketCounters counters() const;
+  /// What the link to peer `node` owns; zeros for an unknown node.
+  SocketCounters link_counters(int node) const;
+  /// What hosted group `group` owns; zeros for a group not hosted here.
+  SocketCounters group_counters(GroupId group) const;
   /// The frame-buffer pool recycling encoded envelopes across flushes
   /// (observability: the E10 microbench and the pool tests read its
   /// reuse/miss stats).
@@ -504,9 +512,8 @@ class SocketEndpoint {
   std::vector<std::uint64_t> delivered_seq_;
 
   mutable std::mutex counters_mutex_;
-  /// Accept-side injections + demux drops — events with no owning link or
-  /// group.  Link/group fields of this struct stay zero; counters() adds
-  /// the per-link and per-group tallies on top.
+  /// Events with no owning link or group (see SocketCounters); counters()
+  /// adds the per-link and per-group tallies on top.
   SocketCounters misc_;
 
   /// Copies that could not even be queued because stop arrived while the

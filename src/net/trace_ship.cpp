@@ -1,7 +1,6 @@
 #include "net/trace_ship.hpp"
 
 #include <algorithm>
-#include <array>
 #include <fstream>
 #include <stdexcept>
 
@@ -13,40 +12,25 @@ namespace indulgence {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x314c5349;  // "ISL1" little-endian
-/// The only version written and read.  Versions 1 (single-group records)
-/// and 2 (no delivery emitter) are retired: their files read as nullopt.
-/// v3 records carry the owning GroupId, group-tagged copies, the
-/// demux_drops counter and each delivery's emitter
-/// (DeliveryRecord::origin), so forged copies stay attributable to their
-/// budgeted liar across the wire.
-constexpr std::uint32_t kVersion = 3;
+/// The only version written and read.  Versions 1 (single-group records),
+/// 2 (no delivery emitter) and 3 (no flush_syscalls) are retired: their
+/// files read as nullopt.  v4 records carry the owning GroupId,
+/// group-tagged copies, each delivery's emitter (DeliveryRecord::origin) —
+/// so forged copies stay attributable to their budgeted liar across the
+/// wire — and every SocketCounters field.
+constexpr std::uint32_t kVersion = 4;
 /// Per-vector sanity cap: a corrupt count must not drive an allocation.
 constexpr std::uint32_t kMaxRecords = 1u << 24;
 
-/// The shipped counter fields, in file order (flush_syscalls is not
-/// shipped).  Const-generic, so the writer and the reader share one list.
-template <typename Counters>
-auto counter_fields(Counters& c) {
-  return std::array{&c.connect_attempts,   &c.connect_failures,
-                    &c.reconnects,         &c.envelopes_sent,
-                    &c.envelopes_resent,   &c.envelopes_delivered,
-                    &c.duplicates_dropped, &c.heartbeats_sent,
-                    &c.peer_timeouts,      &c.injected_resets,
-                    &c.injected_stalls,    &c.injected_short_writes,
-                    &c.injected_connect_failures,
-                    &c.injected_accept_closes,
-                    &c.demux_drops};
-}
-
 void put_counters(WireWriter& w, const SocketCounters& c) {
-  for (const long* f : counter_fields(c)) w.i64(*f);
+  for (long SocketCounters::*f : SocketCounters::fields()) w.i64(c.*f);
 }
 
 bool get_counters(WireReader& r, SocketCounters& c) {
-  for (long* f : counter_fields(c)) {
+  for (long SocketCounters::*f : SocketCounters::fields()) {
     auto v = r.i64();
     if (!v) return false;
-    *f = static_cast<long>(*v);
+    c.*f = static_cast<long>(*v);
   }
   return true;
 }

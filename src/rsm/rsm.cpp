@@ -31,15 +31,32 @@ bool RsmBundleMessage::same_content(const Message& other) const {
                     });
 }
 
+RsmCommandSource rsm_list_source(std::vector<Value> commands) {
+  for (Value v : commands) {
+    if (v == kBottom || v == kNoOpCommand) {
+      throw std::invalid_argument("rsm_list_source: reserved command value");
+    }
+  }
+  return [commands = std::move(commands),
+          next = std::size_t{0}]() mutable -> std::optional<Value> {
+    if (next == commands.size()) return std::nullopt;
+    return commands[next++];
+  };
+}
+
 RsmReplica::RsmReplica(ProcessId self, const SystemConfig& config,
-                       AlgorithmFactory slot_factory,
-                       std::vector<Value> commands, RsmOptions options)
+                       AlgorithmFactory slot_factory, RsmCommandSource source,
+                       RsmCommitCallback on_commit, RsmOptions options)
     : slot_factory_(std::move(slot_factory)),
-      queue_(commands.begin(), commands.end()),
+      source_(std::move(source)),
+      commit_callback_(std::move(on_commit)),
       options_(options),
       self_(self),
       config_(config) {
   config_.validate();
+  if (!source_) {
+    throw std::invalid_argument("RsmReplica: empty command source");
+  }
   if (options_.num_slots < 1) {
     throw std::invalid_argument("RsmReplica: need at least one slot");
   }
@@ -55,17 +72,9 @@ RsmReplica::RsmReplica(ProcessId self, const SystemConfig& config,
   proposed_.resize(options_.num_slots);
   log_.resize(options_.num_slots);
   commit_rounds_.assign(options_.num_slots, 0);
-  for (Value v : queue_) {
-    if (v == kBottom || v == kNoOpCommand) {
-      throw std::invalid_argument("RsmReplica: reserved command value");
-    }
-  }
 }
 
-void RsmReplica::propose(Value v) {
-  if (v == kNoOpCommand) return;  // reserved; kernel proposals may skip it
-  queue_.push_front(v);
-}
+void RsmReplica::propose(Value v) { pool_.emplace(next_propose_rank_--, v); }
 
 int RsmReplica::last_started_slot(Round k) const {
   // Window step i (rounds i*window+1 .. (i+1)*window) has bursts
@@ -75,35 +84,27 @@ int RsmReplica::last_started_slot(Round k) const {
   return std::min(by_round, options_.num_slots - 1);
 }
 
-Value RsmReplica::next_command() {
-  if (!source_) {
-    // Fixed-queue mode: scan without consuming — a command stays pooled
-    // until committed, so losing a slot needs no re-insertion.
-    for (Value v : queue_) {
-      if (!committed_values_.count(v) && !inflight_.count(v)) return v;
+RsmReplica::Ranked RsmReplica::next_command() {
+  // Every pooled rank precedes every undrawn one, so this is one scan in
+  // rank order; a dropped value is never drawn again.
+  for (;;) {
+    if (pool_.empty()) {
+      const std::optional<Value> fresh = source_();
+      if (!fresh) return {};
+      pool_.emplace(next_draw_rank_++, *fresh);
     }
-    return kNoOpCommand;
-  }
-  // Ingest mode: the local queue holds retries (slot losers) and kernel
-  // proposals; it is consumed front-first, then the source is pulled.
-  while (!queue_.empty()) {
-    const Value v = queue_.front();
-    queue_.pop_front();
+    const auto [rank, v] = *pool_.begin();
+    pool_.erase(pool_.begin());
+    if (v == kBottom || v == kNoOpCommand) continue;  // reserved
     if (committed_values_.count(v) || inflight_.count(v)) continue;
-    return v;
+    return {v, rank};
   }
-  while (auto v = source_()) {
-    if (*v == kBottom || *v == kNoOpCommand) continue;  // reserved
-    if (committed_values_.count(*v) || inflight_.count(*v)) continue;
-    return *v;
-  }
-  return kNoOpCommand;
 }
 
 void RsmReplica::start_slot(int slot) {
   if (slots_[slot]) return;
-  const Value cmd = next_command();
-  proposed_[slot] = cmd;
+  proposed_[slot] = next_command();
+  const Value cmd = proposed_[slot].value;
   if (cmd != kNoOpCommand) inflight_.insert(cmd);
   slots_[slot] = slot_factory_(self_, config_);
   // Consensus proposals must be comparable and non-reserved; no-ops are
@@ -128,12 +129,12 @@ void RsmReplica::record_commit(int slot, Value v, Round round) {
   commit_rounds_[slot] = round;
   committed_values_.insert(v);
   ++committed_count_;
-  if (proposed_[slot] && *proposed_[slot] != kNoOpCommand) {
+  const Ranked& ours = proposed_[slot];
+  if (ours.value != kNoOpCommand) {
     // Either way the command is no longer riding this slot; if ours lost,
-    // it returns to the pool (ingest mode re-queues it explicitly — the
-    // fixed queue never consumed it in the first place).
-    inflight_.erase(*proposed_[slot]);
-    if (source_ && *proposed_[slot] != v) queue_.push_front(*proposed_[slot]);
+    // it returns to the pool at the rank of its first draw.
+    inflight_.erase(ours.value);
+    if (ours.value != v) pool_.emplace(ours.rank, ours.value);
   }
   retained_.push_back(Retained{
       slot, options_.decide_retention > 0 ? round + options_.decide_retention
@@ -209,19 +210,6 @@ void RsmReplica::on_round(Round k, const Delivery& delivered) {
   }
 }
 
-AlgorithmFactory rsm_factory(
-    AlgorithmFactory slot_factory,
-    std::function<std::vector<Value>(ProcessId)> commands_for,
-    RsmOptions options) {
-  return [slot_factory = std::move(slot_factory),
-          commands_for = std::move(commands_for),
-          options](ProcessId self, const SystemConfig& config)
-             -> std::unique_ptr<RoundAlgorithm> {
-    return std::make_unique<RsmReplica>(self, config, slot_factory,
-                                        commands_for(self), options);
-  };
-}
-
 AlgorithmFactory rsm_ingest_factory(
     AlgorithmFactory slot_factory,
     std::function<RsmCommandSource(ProcessId)> source_for,
@@ -232,27 +220,22 @@ AlgorithmFactory rsm_ingest_factory(
           commit_for = std::move(commit_for),
           options](ProcessId self, const SystemConfig& config)
              -> std::unique_ptr<RoundAlgorithm> {
-    auto replica = std::make_unique<RsmReplica>(
-        self, config, slot_factory, std::vector<Value>{}, options);
-    replica->set_command_source(source_for(self));
-    replica->set_commit_callback(commit_for(self));
-    return replica;
+    return std::make_unique<RsmReplica>(self, config, slot_factory,
+                                        source_for(self), commit_for(self),
+                                        options);
   };
 }
 
-std::function<AlgorithmFactory(GroupId)> sharded_rsm_factory(
+AlgorithmFactory rsm_factory(
     AlgorithmFactory slot_factory,
-    std::function<std::vector<Value>(GroupId, ProcessId)> commands_for,
+    std::function<std::vector<Value>(ProcessId)> commands_for,
     RsmOptions options) {
-  return [slot_factory = std::move(slot_factory),
-          commands_for = std::move(commands_for), options](GroupId group) {
-    return rsm_factory(
-        slot_factory,
-        [commands_for, group](ProcessId pid) {
-          return commands_for(group, pid);
-        },
-        options);
-  };
+  return rsm_ingest_factory(
+      std::move(slot_factory),
+      [commands_for = std::move(commands_for)](ProcessId pid) {
+        return rsm_list_source(commands_for(pid));
+      },
+      [](ProcessId) { return RsmCommitCallback{}; }, options);
 }
 
 std::function<AlgorithmFactory(GroupId)> sharded_rsm_ingest_factory(
@@ -269,6 +252,18 @@ std::function<AlgorithmFactory(GroupId)> sharded_rsm_ingest_factory(
         [commit_for, group](ProcessId pid) { return commit_for(group, pid); },
         options);
   };
+}
+
+std::function<AlgorithmFactory(GroupId)> sharded_rsm_factory(
+    AlgorithmFactory slot_factory,
+    std::function<std::vector<Value>(GroupId, ProcessId)> commands_for,
+    RsmOptions options) {
+  return sharded_rsm_ingest_factory(
+      std::move(slot_factory),
+      [commands_for = std::move(commands_for)](GroupId group, ProcessId pid) {
+        return rsm_list_source(commands_for(group, pid));
+      },
+      [](GroupId, ProcessId) { return RsmCommitCallback{}; }, options);
 }
 
 }  // namespace indulgence

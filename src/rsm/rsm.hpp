@@ -18,13 +18,14 @@
 //     default (forever) matches the original behavior, while long-running
 //     campaigns set a finite retention so per-round bundles stay O(active
 //     slots) rather than O(log length).
-//   * Command selection: every replica keeps a client-command queue; for a
-//     new slot it proposes its first command that is neither committed nor
-//     in flight; a command that loses its slot returns to the pool and is
-//     re-proposed later.  When the queue is empty the replica proposes
-//     kNoOpCommand.  A live client layer can replace the fixed queue with a
-//     pull-based RsmCommandSource and observe commits through an
-//     RsmCommitCallback (src/client builds on exactly this pair).
+//   * Command selection: a replica obtains commands one way only, by
+//     pulling its RsmCommandSource — a fixed list (rsm_list_source) or a
+//     live client layer (src/client) — and reports every commit through
+//     its RsmCommitCallback.  Each drawn command keeps the rank of its
+//     first draw; one that loses its slot re-enters a small pool and is
+//     re-proposed, lowest rank first, before the source is pulled again.
+//     Kernel propose() values rank before everything.  With nothing
+//     pending the replica proposes kNoOpCommand.
 //
 // The RSM never "decides" in the single-shot sense — drive the kernel with
 // stop_on_global_decision = false and query logs afterwards.
@@ -57,8 +58,14 @@ inline bool is_rsm_noop(Value v) {
 /// Pull-based command ingest: "the next client command for a fresh slot",
 /// or nullopt when nothing is pending (the slot proposes a no-op).  Called
 /// on the replica's own driver thread; implementations synchronize their
-/// own state.
+/// own state.  The replica never asks again for a command it drew: a lost
+/// command is retried from the replica's own pool (exactly-once
+/// submission stays with the home replica).
 using RsmCommandSource = std::function<std::optional<Value>()>;
+
+/// A source yielding `commands` in order, then nothing.  Throws
+/// std::invalid_argument on a reserved value (kBottom, kNoOpCommand).
+RsmCommandSource rsm_list_source(std::vector<Value> commands);
 
 /// Commit notification, fired on the replica's driver thread as soon as
 /// this replica learns a slot's outcome — including no-op outcomes and
@@ -109,27 +116,16 @@ class RsmBundleMessage final : public Message {
 class RsmReplica : public RoundAlgorithm {
  public:
   /// `slot_factory` builds the consensus algorithm used per slot (e.g.
-  /// at2_factory(...)); `commands` is this replica's client queue.
+  /// at2_factory(...)); fresh slots pull commands from `source` (must be
+  /// non-empty); `on_commit` (may be empty) hears every slot outcome this
+  /// replica learns.
   RsmReplica(ProcessId self, const SystemConfig& config,
-             AlgorithmFactory slot_factory, std::vector<Value> commands,
-             RsmOptions options = {});
-
-  /// Live ingest: once the fixed queue drains, fresh slots pull commands
-  /// from `source` instead of proposing no-ops.  A command that loses its
-  /// slot re-enters this replica's local retry queue (it is NOT handed back
-  /// to the source — exactly-once submission stays with the home replica).
-  void set_command_source(RsmCommandSource source) {
-    source_ = std::move(source);
-  }
-
-  /// Fired from record_commit for every slot outcome this replica learns.
-  void set_commit_callback(RsmCommitCallback callback) {
-    commit_callback_ = std::move(callback);
-  }
+             AlgorithmFactory slot_factory, RsmCommandSource source,
+             RsmCommitCallback on_commit, RsmOptions options = {});
 
   // --- RoundAlgorithm ------------------------------------------------------
 
-  /// The kernel-supplied proposal becomes the front of the command queue.
+  /// The kernel-supplied proposal ranks before every drawn command.
   void propose(Value v) override;
 
   MessagePtr message_for_round(Round k) override;
@@ -166,7 +162,16 @@ class RsmReplica : public RoundAlgorithm {
   int last_started_slot(Round k) const;
   void ensure_started(Round k);
   void start_slot(int slot);
-  Value next_command();
+  /// A command with the rank of its first draw (propose() ranks are
+  /// negative, source draws count up from 0).
+  struct Ranked {
+    Value value = kNoOpCommand;
+    long rank = 0;
+  };
+  /// The lowest-ranked usable command — pooled first, then fresh draws —
+  /// or kNoOpCommand.  Reserved, committed and in-flight values are
+  /// dropped here and nowhere else.
+  Ranked next_command();
   void record_commit(int slot, Value v, Round round);
 
   /// A committed slot whose DECIDE notice is still riding the bundle;
@@ -177,15 +182,18 @@ class RsmReplica : public RoundAlgorithm {
   };
 
   AlgorithmFactory slot_factory_;
-  std::deque<Value> queue_;
   RsmCommandSource source_;
   RsmCommitCallback commit_callback_;
+  /// Lost commands and kernel proposals awaiting (re-)proposal, by rank.
+  std::map<long, Value> pool_;
+  long next_draw_rank_ = 0;
+  long next_propose_rank_ = -1;
   RsmOptions options_;
   Round window_ = 1;
   int burst_ = 1;
 
   std::vector<std::unique_ptr<RoundAlgorithm>> slots_;  ///< index = slot
-  std::vector<std::optional<Value>> proposed_;          ///< ours, per slot
+  std::vector<Ranked> proposed_;  ///< ours, per slot (no-op if none)
   std::vector<std::optional<Value>> log_;
   std::vector<Round> commit_rounds_;
   std::set<Value> committed_values_;
@@ -205,21 +213,21 @@ class RsmReplica : public RoundAlgorithm {
   SystemConfig config_;
 };
 
-/// Factory: every replica gets the same slot algorithm and options but its
-/// own command queue (commands_for(replica)).
-AlgorithmFactory rsm_factory(AlgorithmFactory slot_factory,
-                             std::function<std::vector<Value>(ProcessId)>
-                                 commands_for,
-                             RsmOptions options = {});
-
-/// Live-ingest factory: replicas start with empty queues and pull commands
-/// from per-replica sources, reporting commits through per-replica
-/// callbacks.  The client workload layer (src/client) plugs in here.
+/// Live-ingest factory: replicas pull commands from per-replica sources
+/// and report commits through per-replica callbacks.  The client workload
+/// layer (src/client) plugs in here.
 AlgorithmFactory rsm_ingest_factory(
     AlgorithmFactory slot_factory,
     std::function<RsmCommandSource(ProcessId)> source_for,
     std::function<RsmCommitCallback(ProcessId)> commit_for,
     RsmOptions options = {});
+
+/// Fixed-list factory: rsm_ingest_factory over
+/// rsm_list_source(commands_for(replica)), with no commit callback.
+AlgorithmFactory rsm_factory(AlgorithmFactory slot_factory,
+                             std::function<std::vector<Value>(ProcessId)>
+                                 commands_for,
+                             RsmOptions options = {});
 
 /// Group-factory adaptor for the sharded runtime (`run_sharded` /
 /// `ShardedNode`): every group runs the same slot algorithm and RsmOptions

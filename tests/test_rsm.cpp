@@ -191,15 +191,50 @@ TEST(Rsm, LosingProposerRetriesItsCommand) {
   EXPECT_TRUE(committed_999) << "p4's command never committed";
 }
 
+TEST(Rsm, LostCommandsAreReproposedInDrawOrder) {
+  // p2's two commands lose burst 0 (slots 0-1) to p0's lower ones.  Burst
+  // 1 (slots 2-3) must re-propose them in the order p2 drew them, from its
+  // own pool: its source, which would hand out fresh commands forever, is
+  // asked only for the two.  Kernel proposals are the reserved no-op,
+  // dropped at draw, so only source commands compete.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  RsmOptions opt;
+  opt.num_slots = 4;
+  opt.slot_burst = 2;
+  int p2_draws = 0;
+  const auto source_for = [&p2_draws](ProcessId pid) -> RsmCommandSource {
+    if (pid == 0) return rsm_list_source({10, 11});
+    if (pid == 1) return rsm_list_source({});
+    return [&p2_draws]() -> std::optional<Value> { return 200 + p2_draws++; };
+  };
+  const AlgorithmFactory factory = rsm_ingest_factory(
+      at2_slots(), source_for, [](ProcessId) { return RsmCommitCallback{}; },
+      opt);
+  AlgorithmInstances instances;
+  const RunResult result = run_and_check(
+      cfg, rsm_options(24), factory, std::vector<Value>(cfg.n, kNoOpCommand),
+      failure_free_schedule(cfg), &instances);
+  ASSERT_TRUE(result.validation.ok()) << result.validation.to_string();
+  EXPECT_EQ(p2_draws, 2);
+  const std::vector<std::optional<Value>> expected = {10, 11, 200, 201};
+  for (const auto& instance : instances) {
+    const auto* replica = dynamic_cast<const RsmReplica*>(instance.get());
+    ASSERT_NE(replica, nullptr);
+    EXPECT_EQ(replica->log(), expected);
+  }
+}
+
 TEST(Rsm, RejectsReservedCommandValues) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  EXPECT_THROW(RsmReplica(0, cfg, at2_slots(), {kNoOpCommand}, {}),
+  EXPECT_THROW(RsmReplica(0, cfg, at2_slots(),
+                          rsm_list_source({kNoOpCommand}), {}, {}),
                std::invalid_argument);
-  EXPECT_THROW(RsmReplica(0, cfg, at2_slots(), {kBottom}, {}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      RsmReplica(0, cfg, at2_slots(), rsm_list_source({kBottom}), {}, {}),
+      std::invalid_argument);
   RsmOptions bad;
   bad.num_slots = 0;
-  EXPECT_THROW(RsmReplica(0, cfg, at2_slots(), {}, bad),
+  EXPECT_THROW(RsmReplica(0, cfg, at2_slots(), rsm_list_source({}), {}, bad),
                std::invalid_argument);
 }
 

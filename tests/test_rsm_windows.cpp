@@ -109,13 +109,13 @@ TEST(RsmBurst, InvalidBurstThrows) {
   const SystemConfig cfg{.n = 5, .t = 2};
   RsmOptions opt;
   opt.slot_burst = 0;
-  EXPECT_THROW(
-      RsmReplica(0, cfg, at2_factory(hurfin_raynal_factory()), {42}, opt),
-      std::invalid_argument);
+  EXPECT_THROW(RsmReplica(0, cfg, at2_factory(hurfin_raynal_factory()),
+                          rsm_list_source({42}), {}, opt),
+               std::invalid_argument);
   opt.slot_burst = -3;
-  EXPECT_THROW(
-      RsmReplica(0, cfg, at2_factory(hurfin_raynal_factory()), {42}, opt),
-      std::invalid_argument);
+  EXPECT_THROW(RsmReplica(0, cfg, at2_factory(hurfin_raynal_factory()),
+                          rsm_list_source({42}), {}, opt),
+               std::invalid_argument);
 }
 
 TEST(RsmBurst, DeeperPipelineCommitsTheLogInFewerRounds) {
@@ -163,8 +163,9 @@ TEST(RsmBurst, DeeperPipelineCommitsTheLogInFewerRounds) {
 
 TEST(RsmWindows, KernelProposalOfReservedValueIsSkipped) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RsmReplica replica(0, cfg, at2_factory(hurfin_raynal_factory()), {42}, {});
-  replica.propose(kNoOpCommand);  // must not throw, must not enqueue
+  RsmReplica replica(0, cfg, at2_factory(hurfin_raynal_factory()),
+                     rsm_list_source({42}), {}, {});
+  replica.propose(kNoOpCommand);  // must not throw, must never be proposed
   // First slot proposes 42 (the real command), not the sentinel.
   (void)replica.message_for_round(1);
   SUCCEED();

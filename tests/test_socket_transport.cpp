@@ -224,9 +224,11 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
   //   group 1 on nodes {0, 1, 2},  group 2 on nodes {0, 2, 3}.
   // Injected resets are confined (only_node) to node 0's link towards
   // node 1 — a link only group 1 uses.  The regression this pins: link
-  // trouble must land in LinkCounters of THAT link, and the redelivery
+  // trouble must land in the counters of THAT link, and the redelivery
   // fallout must never leak into group 2's per-group counters, because
-  // group 2 never puts a byte on the chaotic link.
+  // group 2 never puts a byte on the chaotic link.  Links, groups and the
+  // endpoint share one counter type, so the attribution rule itself is
+  // checked field by field at the end.
   const int kNodes = 4;
   const SystemConfig cfg{.n = 3, .t = 1};
   const std::string dir = fresh_socket_dir();
@@ -300,12 +302,12 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
   stop_and_flush_all(endpoints);
 
   // The chaos fired, on the one link it was scoped to — and nowhere else.
-  const LinkCounters to1 = endpoints[0]->link_counters(1);
+  const SocketCounters to1 = endpoints[0]->link_counters(1);
   EXPECT_GT(to1.injected_resets, 0);
   EXPECT_GT(to1.reconnects, 0);
   EXPECT_GT(to1.envelopes_resent, 0);
   for (int peer : {2, 3}) {
-    const LinkCounters clean = endpoints[0]->link_counters(peer);
+    const SocketCounters clean = endpoints[0]->link_counters(peer);
     EXPECT_EQ(clean.injected_resets, 0) << "link to " << peer;
     EXPECT_EQ(clean.injected_connect_failures, 0) << "link to " << peer;
     EXPECT_EQ(clean.envelopes_resent, 0) << "link to " << peer;
@@ -314,7 +316,7 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
   // Group 2 never touched the chaotic link: its per-group accounting on
   // every hosting node must look like a clean run — exactly kSends copies
   // to each of its two remote members, none of them re-deliveries.
-  GroupCounters group2;
+  SocketCounters group2;
   for (int node : group2_nodes) {
     group2 += endpoints[static_cast<std::size_t>(node)]->group_counters(2);
   }
@@ -324,12 +326,71 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
 
   // Group 1 rode the chaotic link, so its deliveries survived resends:
   // same copies delivered, with any duplicates filtered by seq dedup.
-  GroupCounters group1;
+  SocketCounters group1;
   for (int node : group1_nodes) {
     group1 += endpoints[static_cast<std::size_t>(node)]->group_counters(1);
   }
   EXPECT_EQ(group1.envelopes_sent, 2 * kSends);
   EXPECT_EQ(group1.envelopes_delivered, 2 * kSends);
+
+  // Attribution: a link carries only link-owned fields, a group only
+  // group-owned ones, and counters() is the endpoint's own events plus
+  // every link plus every group — so whatever links and groups do not
+  // explain sits in an endpoint-owned field.
+  using Field = long SocketCounters::*;
+  const std::vector<Field> link_owned = {
+      &SocketCounters::connect_attempts,
+      &SocketCounters::connect_failures,
+      &SocketCounters::reconnects,
+      &SocketCounters::envelopes_resent,
+      &SocketCounters::heartbeats_sent,
+      &SocketCounters::peer_timeouts,
+      &SocketCounters::injected_resets,
+      &SocketCounters::injected_stalls,
+      &SocketCounters::injected_short_writes,
+      &SocketCounters::injected_connect_failures,
+      &SocketCounters::flush_syscalls};
+  const std::vector<Field> group_owned = {
+      &SocketCounters::envelopes_sent, &SocketCounters::envelopes_delivered,
+      &SocketCounters::duplicates_dropped};
+  const std::vector<Field> endpoint_owned = {
+      &SocketCounters::duplicates_dropped, &SocketCounters::demux_drops,
+      &SocketCounters::injected_accept_closes};
+  const auto owns = [](const std::vector<Field>& owned, Field f) {
+    return std::find(owned.begin(), owned.end(), f) != owned.end();
+  };
+  const auto fields = SocketCounters::fields();
+  for (int node = 0; node < kNodes; ++node) {
+    const SocketEndpoint& ep = *endpoints[static_cast<std::size_t>(node)];
+    SocketCounters accounted;
+    for (int peer = 0; peer < kNodes; ++peer) {
+      const SocketCounters link = ep.link_counters(peer);
+      for (std::size_t i = 0; i < fields.size(); ++i) {
+        if (owns(link_owned, fields[i])) continue;
+        EXPECT_EQ(link.*fields[i], 0)
+            << "field " << i << " on link " << node << "->" << peer;
+      }
+      accounted += link;
+    }
+    for (GroupId g : {1, 2}) {
+      const SocketCounters group = ep.group_counters(g);
+      for (std::size_t i = 0; i < fields.size(); ++i) {
+        if (owns(group_owned, fields[i])) continue;
+        EXPECT_EQ(group.*fields[i], 0)
+            << "field " << i << " of group " << g << " on node " << node;
+      }
+      accounted += group;
+    }
+    const SocketCounters total = ep.counters();
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const long misc = total.*fields[i] - accounted.*fields[i];
+      if (owns(endpoint_owned, fields[i])) {
+        EXPECT_GE(misc, 0) << "field " << i << " on node " << node;
+      } else {
+        EXPECT_EQ(misc, 0) << "field " << i << " on node " << node;
+      }
+    }
+  }
 
   endpoints.clear();
   std::filesystem::remove_all(dir);
@@ -399,11 +460,7 @@ TEST(SocketRun, ChaoticUdsRunStillDecidesAndValidates) {
       run_over_sockets(SocketAddress::Kind::Unix, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
-  const long injected = counters.injected_resets + counters.injected_stalls +
-                        counters.injected_short_writes +
-                        counters.injected_connect_failures +
-                        counters.injected_accept_closes;
-  EXPECT_GT(injected, 0) << "chaos layer never fired";
+  EXPECT_GT(counters.injected_faults(), 0) << "chaos layer never fired";
 }
 
 TEST(SocketRun, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
@@ -778,9 +835,9 @@ TEST(SocketEndpoint, ChaosOnOneLinkDoesNotDebatchTheOthers) {
   }
   EXPECT_TRUE(stop_and_flush_all(endpoints).empty());
 
-  const LinkCounters chaotic = endpoints[0]->link_counters(1);
+  const SocketCounters chaotic = endpoints[0]->link_counters(1);
   EXPECT_GT(chaotic.injected_short_writes, 0);
-  const LinkCounters clean = endpoints[0]->link_counters(2);
+  const SocketCounters clean = endpoints[0]->link_counters(2);
   EXPECT_EQ(clean.injected_short_writes, 0);
   ASSERT_GT(clean.flush_syscalls, 0);
   const double frames_per_syscall =

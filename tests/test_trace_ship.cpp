@@ -54,6 +54,7 @@ ShippedLog sample_log() {
   shipped.undelivered.push_back(UndeliveredCopy{1, 2, 5, 0});
   shipped.counters.reconnects = 3;
   shipped.counters.envelopes_resent = 8;
+  shipped.counters.flush_syscalls = 13;
   return shipped;
 }
 
@@ -87,6 +88,7 @@ TEST(TraceShip, ShippedLogRoundTripsExactly) {
   EXPECT_EQ(loaded->undelivered[0].send_round, 5);
   EXPECT_EQ(loaded->counters.reconnects, 3);
   EXPECT_EQ(loaded->counters.envelopes_resent, 8);
+  EXPECT_EQ(loaded->counters.flush_syscalls, 13);
   std::filesystem::remove_all(dir);
 }
 
@@ -138,11 +140,12 @@ TEST(TraceShip, V2GroupFieldsRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(TraceShip, RetiredV1AndV2FilesReadAsNullopt) {
-  // Version 1 (single-group records) and version 2 (no delivery emitter)
-  // are retired.  A file claiming either reads as nullopt — whether its
-  // body is a real current-format record or one laid out as that version
-  // wrote it — while the untouched current file still reads.
+TEST(TraceShip, RetiredVersionFilesReadAsNullopt) {
+  // Version 1 (single-group records), version 2 (no delivery emitter) and
+  // version 3 (no flush_syscalls) are retired.  A file claiming any of
+  // them reads as nullopt — whether its body is a real current-format
+  // record or one laid out as v1 or v3 wrote it — while the untouched
+  // current file still reads.
   const std::string dir = fresh_dir();
   const std::string path = dir + "/old.log";
   write_shipped_log(path, sample_log());
@@ -166,9 +169,12 @@ TEST(TraceShip, RetiredV1AndV2FilesReadAsNullopt) {
   for (int empty = 0; empty < 5; ++empty) v1.u32(0);  // every record list
   for (int i = 0; i < 14; ++i) v1.i64(i);             // counters
   std::vector<char> v1_bytes(v1.bytes().begin(), v1.bytes().end());
+  // The v3 layout: the current record without its trailing counter,
+  // flush_syscalls.
+  const std::vector<char> v3_bytes(current.begin(), current.end() - 8);
 
-  for (const std::uint8_t version : {1, 2}) {
-    for (std::vector<char> bytes : {current, v1_bytes}) {
+  for (const std::uint8_t version : {1, 2, 3}) {
+    for (std::vector<char> bytes : {current, v1_bytes, v3_bytes}) {
       bytes[4] = static_cast<char>(version);
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
