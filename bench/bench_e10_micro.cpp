@@ -9,10 +9,12 @@
 // encoding in ns/frame and allocations/frame, FrameParser decode cost,
 // and — over a real SocketEndpoint pair with a pre-queued backlog — how
 // many frames the coalesced flush ships per gathered-write syscall.  The
-// deterministic numbers are persisted to BENCH_e10_wire.json with two
-// gates: pooled encoding must cut allocations/frame by >= 5x and the
-// coalesced flush must ship >= 4 frames/syscall (the pre-batching flush
-// wrote exactly one frame per syscall by construction).
+// deterministic numbers are persisted to BENCH_e10_wire.json with three
+// gates: pooled encoding must cut allocations/frame by >= 5x; decoding an
+// RSM bundle must cost <= 2 allocations/frame (its Message and its one
+// part vector, however many parts it carries); and the coalesced flush
+// must ship >= 4 frames/syscall (the pre-batching flush wrote exactly one
+// frame per syscall by construction).
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +22,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <thread>
 
@@ -73,18 +74,17 @@ namespace indulgence {
 namespace {
 
 /// A payload shaped like the RSM service's steady state: a slot bundle with
-/// two nested registry messages, so the codec benchmarks exercise the
-/// recursive encoder, not just a fixed-size struct copy.
+/// two registry parts, so the codec benchmarks exercise the bundle codec,
+/// not just one fixed-size payload.
 NetEnvelope representative_envelope() {
-  std::map<int, MessagePtr> parts;
-  parts[0] = std::make_shared<DecideMessage>(Value{4242});
-  parts[1] = std::make_shared<FloodEstimateMessage>(Value{7});
   NetEnvelope env;
   env.sender = 1;
   env.send_round = 5;
   env.target_round = 5;
   env.group = 3;
-  env.payload = std::make_shared<RsmBundleMessage>(std::move(parts));
+  env.payload = std::make_shared<RsmBundleMessage>(
+      std::vector<RsmPart>{to_part(0, DecideMessage(Value{4242})),
+                           to_part(1, FloodEstimateMessage(Value{7}))});
   return env;
 }
 
@@ -360,12 +360,15 @@ bool run_wire_measurement() {
 
   // The gates.  The pre-batching flush issued exactly one write per frame,
   // so frames/syscall >= 4 IS the >= 4x syscall reduction; the alloc gate
-  // compares a fresh writer per frame with a reused one, head to head.
+  // compares a fresh writer per frame with a reused one, head to head; a
+  // decoded bundle is one Message and one part vector.
   const bool alloc_gate =
       legacy.allocs_per_frame >= 5.0 * pooled.allocs_per_frame &&
       legacy.allocs_per_frame > 0;
+  const bool decode_alloc_gate = decode.allocs_per_frame <= 2.0;
   const bool syscall_gate = link.frames_per_syscall >= 4.0;
-  const bool ok = alloc_gate && syscall_gate && link.completed;
+  const bool ok =
+      alloc_gate && decode_alloc_gate && syscall_gate && link.completed;
 
   bench::JsonWriter json(bench::artifact_path("BENCH_e10_wire.json"));
   json.begin_object();
@@ -392,6 +395,7 @@ bool run_wire_measurement() {
   json.key("all_flushed").value(link.completed);
   json.end_object();
   json.key("alloc_gate_5x").value(alloc_gate);
+  json.key("decode_alloc_gate").value(decode_alloc_gate);
   json.key("syscall_gate_4x").value(syscall_gate);
   json.key("ok").value(ok);
   json.end_object();

@@ -53,15 +53,15 @@ inline void print_header(const std::string& id, const std::string& claim) {
 
 inline std::string check_mark(bool ok) { return ok ? "yes" : "NO"; }
 
-/// Canonical location for a persisted BENCH_*.json artifact: the repository
-/// root (baked in at configure time), not whatever CWD the bench happens to
-/// run from.  CI runs the benches from the workspace root and a developer
-/// typically runs them from build/ — with this helper both land the same
-/// canonical top-level copy, so `scripts/check_bench_keys.sh <repo-root>`
-/// always sees every artifact.
+/// Where a persisted BENCH_*.json artifact goes: the top of the build tree
+/// (baked in at configure time), whatever CWD the bench runs from.  The
+/// tracked copies at the repository root are never written by a run, so a
+/// sanitizer or scratch build cannot overwrite them; refreshing one is an
+/// explicit copy out of the build tree.  `scripts/check_bench_keys.sh
+/// <build-dir>` checks the schema of what a run wrote.
 inline std::string artifact_path(const std::string& name) {
-#ifdef INDULGENCE_REPO_ROOT
-  return std::string(INDULGENCE_REPO_ROOT) + "/" + name;
+#ifdef INDULGENCE_ARTIFACT_DIR
+  return std::string(INDULGENCE_ARTIFACT_DIR) + "/" + name;
 #else
   return name;
 #endif

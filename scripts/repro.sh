@@ -98,10 +98,10 @@ ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt
 # The client-campaign smoke: closed- and open-loop fleets over the
 # in-process, socket, and sharded runtimes (X7 ran its full grid plus the
 # million-command campaign in the bench loop above; this exercises the
-# example entry point).  Afterwards, every persisted BENCH_*.json artifact
-# must keep its key schema, baselines included.
+# example entry point).  Afterwards, every BENCH_*.json the benches wrote
+# into build/ must keep its key schema, baselines included.
 ./build/examples/client_rsm_demo 2>> bench_timing.txt
-scripts/check_bench_keys.sh .
+scripts/check_bench_keys.sh build
 
 echo "Reproduction complete: see test_output.txt and bench_output.txt" \
      "(campaign timing: bench_timing.txt)."

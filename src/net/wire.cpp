@@ -2,297 +2,113 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <typeinfo>
 
-#include "consensus/amr_leader.hpp"
-#include "consensus/chandra_toueg.hpp"
-#include "consensus/consensus.hpp"
-#include "consensus/floodset.hpp"
-#include "consensus/floodset_ws.hpp"
-#include "consensus/hurfin_raynal.hpp"
-#include "core/af2.hpp"
-#include "core/at2.hpp"
-#include "core/at2_auth.hpp"
 #include "rsm/rsm.hpp"
 
 namespace indulgence {
 namespace {
 
-// Wire tags for the closed payload registry.  Append-only: reordering or
-// reusing a tag breaks replay of shipped per-process logs.
-enum class MessageTag : std::uint8_t {
-  Halted = 1,
-  Decide = 2,
-  Filler = 3,
-  FloodEstimate = 4,
-  HrCoord = 5,
-  HrVote = 6,
-  CtEstimate = 7,
-  CtPropose = 8,
-  CtAck = 9,
-  AmrEstimate = 10,
-  AmrVote = 11,
-  WsEstimate = 12,
-  Af2Estimate = 13,
-  At2Estimate = 14,
-  At2NewEstimate = 15,
-  At2Underlying = 16,
-  RsmBundle = 17,
-  AuthPropose = 18,
-  AuthPrepare = 19,
-  AuthCommit = 20,
-  AuthDecide = 21,
-};
-
-// Nested payloads (At2Underlying wraps one message; RsmBundle maps slots to
-// messages, and a slot can itself run A_{t+2} over an underlying module).
-// Real traffic nests 2-3 deep; the cap only exists to bound what a corrupt
-// frame can make the decoder do.
-constexpr int kMaxNesting = 16;
+// Payloads go through the registry in rsm/part.hpp.  A leaf is its tag and
+// its fields; At2Underlying is a tag byte in front of the payload it wraps;
+// RsmBundle is `u32 count | count x (i32 slot | payload)`, and a bundle
+// part is never itself a bundle.  Real traffic wraps once; the nesting cap
+// (kMaxWraps layers at the top, one fewer inside a bundle) only bounds what
+// a corrupt frame can make the decoder do.
 
 // The bundle's slot count is length-checked against the remaining bytes
 // before any allocation: each part needs at least a slot id and a tag.
 constexpr std::size_t kMinBundlePartBytes = 5;
 
-MessagePtr decode_message_at_depth(WireReader& in, int depth);
+constexpr std::uint8_t tag_byte(PayloadTag tag) {
+  return static_cast<std::uint8_t>(tag);
+}
 
-void encode_message_at_depth(const Message& message, WireWriter& out,
-                             int depth) {
-  if (depth > kMaxNesting) {
+void encode_part(const RsmPart& part, int max_wraps, WireWriter& out) {
+  if (part.wraps > max_wraps) {
     throw std::invalid_argument("wire: message nesting exceeds codec cap");
   }
-  if (auto* m = dynamic_cast<const HaltedMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::Halted));
-    out.i64(m->decision());
-  } else if (auto* m = dynamic_cast<const DecideMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::Decide));
-    out.i64(m->value());
-  } else if (dynamic_cast<const FillerMessage*>(&message) != nullptr) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::Filler));
-  } else if (auto* m = dynamic_cast<const FloodEstimateMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::FloodEstimate));
-    out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const HrCoordMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::HrCoord));
-    out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const HrVoteMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::HrVote));
-    out.i64(m->aux());
-  } else if (auto* m = dynamic_cast<const CtEstimateMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::CtEstimate));
-    out.i64(m->est());
-    out.i32(m->ts());
-  } else if (auto* m = dynamic_cast<const CtProposeMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::CtPropose));
-    out.i64(m->value());
-  } else if (auto* m = dynamic_cast<const CtAckMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::CtAck));
-    out.u8(m->positive() ? 1 : 0);
-  } else if (auto* m = dynamic_cast<const AmrEstimateMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::AmrEstimate));
-    out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const AmrVoteMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::AmrVote));
-    out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const WsEstimateMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::WsEstimate));
-    out.i64(m->est());
-    out.u64(m->halt().mask());
-  } else if (auto* m = dynamic_cast<const Af2EstimateMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::Af2Estimate));
-    out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const At2EstimateMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::At2Estimate));
-    out.i64(m->est());
-    out.u64(m->halt().mask());
-  } else if (auto* m = dynamic_cast<const At2NewEstimateMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::At2NewEstimate));
-    out.i64(m->new_estimate());
-  } else if (auto* m = dynamic_cast<const At2UnderlyingMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::At2Underlying));
-    encode_message_at_depth(*m->inner(), out, depth + 1);
-  } else if (auto* m = dynamic_cast<const AuthProposeMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::AuthPropose));
-    out.i32(m->signer());
-    out.i32(m->stamp());
-    out.i32(m->view());
-    out.i64(m->value());
-    out.i32(m->lock_view());
-    out.i64(m->lock_value());
-    out.u64(m->cert().mask());
-  } else if (auto* m = dynamic_cast<const AuthPrepareMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::AuthPrepare));
-    out.i32(m->signer());
-    out.i32(m->stamp());
-    out.i32(m->view());
-    out.i64(m->value());
-  } else if (auto* m = dynamic_cast<const AuthCommitMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::AuthCommit));
-    out.i32(m->signer());
-    out.i32(m->stamp());
-    out.i32(m->view());
-    out.i64(m->value());
-    out.i32(m->lock_view());
-    out.i64(m->lock_value());
-    out.u64(m->lock_cert().mask());
-  } else if (auto* m = dynamic_cast<const AuthDecideMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::AuthDecide));
-    out.i32(m->signer());
-    out.i32(m->stamp());
-    out.i64(m->value());
-  } else if (auto* m = dynamic_cast<const RsmBundleMessage*>(&message)) {
-    out.u8(static_cast<std::uint8_t>(MessageTag::RsmBundle));
-    out.u32(static_cast<std::uint32_t>(m->parts().size()));
-    for (const auto& [slot, part] : m->parts()) {
-      out.i32(slot);
-      encode_message_at_depth(*part, out, depth + 1);
+  for (int i = 0; i < part.wraps; ++i) {
+    out.u8(tag_byte(PayloadTag::At2Underlying));
+  }
+  out.u8(tag_byte(part.tag));
+  const std::int32_t* narrow = part.narrow;
+  const std::int64_t* wide = part.wide;
+  for (const char* kind = leaf_fields(tag_byte(part.tag)); *kind; ++kind) {
+    switch (*kind) {
+      case 'n': out.i32(*narrow++); break;
+      case 'b': out.u8(static_cast<std::uint8_t>(*narrow++)); break;
+      default: out.i64(*wide++); break;
     }
-  } else {
-    throw std::invalid_argument("wire: unregistered message type: " +
-                                message.describe());
   }
 }
 
-MessagePtr decode_message_at_depth(WireReader& in, int depth) {
-  if (depth > kMaxNesting) return nullptr;
-  auto tag = in.u8();
-  if (!tag) return nullptr;
-  switch (static_cast<MessageTag>(*tag)) {
-    case MessageTag::Halted: {
-      auto v = in.i64();
-      return v ? std::make_shared<HaltedMessage>(*v) : nullptr;
+/// Reads wrapper tags and one leaf into `part` (its slot untouched).  A
+/// bundle tag sets part.tag and stops, so the caller decides whether a
+/// bundle may stand there.
+bool decode_part(WireReader& in, int max_wraps, RsmPart& part) {
+  for (;;) {
+    const auto tag = in.u8();
+    if (!tag) return false;
+    if (*tag == tag_byte(PayloadTag::At2Underlying)) {
+      if (part.wraps == max_wraps) return false;
+      ++part.wraps;
+      continue;
     }
-    case MessageTag::Decide: {
-      auto v = in.i64();
-      return v ? std::make_shared<DecideMessage>(*v) : nullptr;
+    if (*tag == tag_byte(PayloadTag::RsmBundle)) {
+      part.tag = PayloadTag::RsmBundle;
+      return true;
     }
-    case MessageTag::Filler:
-      return std::make_shared<FillerMessage>();
-    case MessageTag::FloodEstimate: {
-      auto v = in.i64();
-      return v ? std::make_shared<FloodEstimateMessage>(*v) : nullptr;
-    }
-    case MessageTag::HrCoord: {
-      auto v = in.i64();
-      return v ? std::make_shared<HrCoordMessage>(*v) : nullptr;
-    }
-    case MessageTag::HrVote: {
-      auto v = in.i64();
-      return v ? std::make_shared<HrVoteMessage>(*v) : nullptr;
-    }
-    case MessageTag::CtEstimate: {
-      auto est = in.i64();
-      auto ts = in.i32();
-      if (!est || !ts) return nullptr;
-      return std::make_shared<CtEstimateMessage>(*est, *ts);
-    }
-    case MessageTag::CtPropose: {
-      auto v = in.i64();
-      return v ? std::make_shared<CtProposeMessage>(*v) : nullptr;
-    }
-    case MessageTag::CtAck: {
-      auto b = in.u8();
-      if (!b || *b > 1) return nullptr;
-      return std::make_shared<CtAckMessage>(*b == 1);
-    }
-    case MessageTag::AmrEstimate: {
-      auto v = in.i64();
-      return v ? std::make_shared<AmrEstimateMessage>(*v) : nullptr;
-    }
-    case MessageTag::AmrVote: {
-      auto v = in.i64();
-      return v ? std::make_shared<AmrVoteMessage>(*v) : nullptr;
-    }
-    case MessageTag::WsEstimate: {
-      auto est = in.i64();
-      auto mask = in.u64();
-      if (!est || !mask) return nullptr;
-      return std::make_shared<WsEstimateMessage>(*est,
-                                                 ProcessSet::from_mask(*mask));
-    }
-    case MessageTag::Af2Estimate: {
-      auto v = in.i64();
-      return v ? std::make_shared<Af2EstimateMessage>(*v) : nullptr;
-    }
-    case MessageTag::At2Estimate: {
-      auto est = in.i64();
-      auto mask = in.u64();
-      if (!est || !mask) return nullptr;
-      return std::make_shared<At2EstimateMessage>(*est,
-                                                  ProcessSet::from_mask(*mask));
-    }
-    case MessageTag::At2NewEstimate: {
-      auto v = in.i64();
-      return v ? std::make_shared<At2NewEstimateMessage>(*v) : nullptr;
-    }
-    case MessageTag::At2Underlying: {
-      MessagePtr inner = decode_message_at_depth(in, depth + 1);
-      if (inner == nullptr) return nullptr;
-      return std::make_shared<At2UnderlyingMessage>(std::move(inner));
-    }
-    case MessageTag::RsmBundle: {
-      auto count = in.u32();
-      if (!count) return nullptr;
-      if (*count > in.remaining() / kMinBundlePartBytes) return nullptr;
-      std::map<int, MessagePtr> parts;
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto slot = in.i32();
-        if (!slot) return nullptr;
-        MessagePtr part = decode_message_at_depth(in, depth + 1);
-        if (part == nullptr) return nullptr;
-        parts.emplace(*slot, std::move(part));
+    const char* kind = leaf_fields(*tag);
+    if (kind == nullptr) return false;
+    part.tag = static_cast<PayloadTag>(*tag);
+    std::int32_t* narrow = part.narrow;
+    std::int64_t* wide = part.wide;
+    for (; *kind; ++kind) {
+      switch (*kind) {
+        case 'n': {
+          const auto v = in.i32();
+          if (!v) return false;
+          *narrow++ = *v;
+          break;
+        }
+        case 'b': {
+          const auto v = in.u8();
+          if (!v || *v > 1) return false;
+          *narrow++ = *v;
+          break;
+        }
+        default: {
+          const auto v = in.i64();
+          if (!v) return false;
+          *wide++ = *v;
+          break;
+        }
       }
-      return std::make_shared<RsmBundleMessage>(std::move(parts));
     }
-    case MessageTag::AuthPropose: {
-      auto signer = in.i32();
-      auto stamp = in.i32();
-      auto view = in.i32();
-      auto value = in.i64();
-      auto lock_view = in.i32();
-      auto lock_value = in.i64();
-      auto cert = in.u64();
-      if (!signer || !stamp || !view || !value || !lock_view || !lock_value ||
-          !cert) {
-        return nullptr;
-      }
-      return std::make_shared<AuthProposeMessage>(
-          *signer, *stamp, *view, *value, *lock_view, *lock_value,
-          ProcessSet::from_mask(*cert));
-    }
-    case MessageTag::AuthPrepare: {
-      auto signer = in.i32();
-      auto stamp = in.i32();
-      auto view = in.i32();
-      auto value = in.i64();
-      if (!signer || !stamp || !view || !value) return nullptr;
-      return std::make_shared<AuthPrepareMessage>(*signer, *stamp, *view,
-                                                  *value);
-    }
-    case MessageTag::AuthCommit: {
-      auto signer = in.i32();
-      auto stamp = in.i32();
-      auto view = in.i32();
-      auto value = in.i64();
-      auto lock_view = in.i32();
-      auto lock_value = in.i64();
-      auto cert = in.u64();
-      if (!signer || !stamp || !view || !value || !lock_view || !lock_value ||
-          !cert) {
-        return nullptr;
-      }
-      return std::make_shared<AuthCommitMessage>(
-          *signer, *stamp, *view, *value, *lock_view, *lock_value,
-          ProcessSet::from_mask(*cert));
-    }
-    case MessageTag::AuthDecide: {
-      auto signer = in.i32();
-      auto stamp = in.i32();
-      auto value = in.i64();
-      if (!signer || !stamp || !value) return nullptr;
-      return std::make_shared<AuthDecideMessage>(*signer, *stamp, *value);
+    return true;
+  }
+}
+
+/// A bundle's body, after its tag: one pass into one exactly sized vector.
+MessagePtr decode_bundle(WireReader& in) {
+  const auto count = in.u32();
+  if (!count || *count > in.remaining() / kMinBundlePartBytes) return nullptr;
+  std::vector<RsmPart> parts;
+  parts.reserve(*count);
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    const auto slot = in.i32();
+    // Our encoder emits slots strictly ascending; anything else is not a
+    // bundle we sent.
+    if (!slot || (i > 0 && *slot <= parts.back().slot)) return nullptr;
+    RsmPart& part = parts.emplace_back();
+    part.slot = *slot;
+    if (!decode_part(in, kMaxWraps - 1, part) ||
+        part.tag == PayloadTag::RsmBundle) {
+      return nullptr;
     }
   }
-  return nullptr;
+  return std::make_shared<RsmBundleMessage>(std::move(parts));
 }
 
 /// Appends `u32 body-len | u8 type | body` to `out` in place: the length
@@ -358,11 +174,24 @@ std::optional<std::int64_t> WireReader::i64() {
 }
 
 void encode_message(const Message& message, WireWriter& out) {
-  encode_message_at_depth(message, out, 0);
+  if (typeid(message) == typeid(RsmBundleMessage)) {
+    const auto& bundle = static_cast<const RsmBundleMessage&>(message);
+    out.u8(tag_byte(PayloadTag::RsmBundle));
+    out.u32(static_cast<std::uint32_t>(bundle.parts().size()));
+    for (const RsmPart& part : bundle.parts()) {
+      out.i32(part.slot);
+      encode_part(part, kMaxWraps - 1, out);
+    }
+    return;
+  }
+  encode_part(to_part(0, message), kMaxWraps, out);
 }
 
 MessagePtr decode_message(WireReader& in) {
-  return decode_message_at_depth(in, 0);
+  RsmPart part;
+  if (!decode_part(in, kMaxWraps, part)) return nullptr;
+  if (part.tag != PayloadTag::RsmBundle) return to_message(part);
+  return part.wraps == 0 ? decode_bundle(in) : nullptr;
 }
 
 std::size_t encode_hello2_into(ProcessId sender,

@@ -26,12 +26,16 @@
 // peer never gets a link identity.  Wire v1 no longer decodes: there is no
 // deployed fleet and no persisted v1 stream.
 //
-// Message payloads are encoded through a closed registry of type tags — one
-// per concrete Message subclass (`describe()` is for humans; the codec is
-// the machine form).  Nested payloads (A_{t+2}'s underlying wrapper, the
-// RSM bundle) recurse with a depth cap, so a corrupt or hostile frame can
-// neither recurse unboundedly nor allocate unboundedly: every decoder
-// checks remaining bytes before it trusts a count.
+// Message payloads are encoded through the closed payload registry of
+// rsm/part.hpp — one type tag per concrete Message subclass (`describe()`
+// is for humans; the codec is the machine form).  A payload is its tag and
+// its fixed integer fields, behind one At2Underlying tag byte per wrapper
+// layer; an RSM bundle is a part count and (slot, payload) pairs with
+// strictly ascending slots, encoded straight from the bundle's part vector
+// and decoded in one pass into one vector.  Wrapping is capped and a
+// bundle never nests, so a corrupt or hostile frame can neither recurse
+// unboundedly nor allocate unboundedly: every decoder checks remaining
+// bytes before it trusts a count.
 //
 // Decoding never throws on malformed input from the wire; it returns
 // nullopt and the connection is treated as broken (the supervisor redials
@@ -126,8 +130,9 @@ class WireReader {
 /// std::invalid_argument for a Message subclass missing from the registry.
 void encode_message(const Message& message, WireWriter& out);
 
-/// Decodes one message; nullopt on any malformed input (unknown tag,
-/// truncation, nesting deeper than the codec's cap).
+/// Decodes one message; nullptr on any malformed input (unknown tag,
+/// truncation, nesting deeper than the codec's cap, a nested bundle, bundle
+/// slots that do not strictly ascend).
 MessagePtr decode_message(WireReader& in);
 
 /// One decoded frame, as read off a connection.

@@ -6,14 +6,39 @@
 #include <stdexcept>
 
 namespace indulgence {
+namespace {
+
+/// The value an unwrapped DECIDE or HALTED part settles its slot with: what
+/// find_decide_notice reads off the Message the part stands for.
+std::optional<Value> decide_notice(const RsmPart& part) {
+  if (part.wraps == 0 &&
+      (part.tag == PayloadTag::Decide || part.tag == PayloadTag::Halted)) {
+    return part.wide[0];
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+RsmBundleMessage::RsmBundleMessage(std::vector<RsmPart> parts)
+    : parts_(std::move(parts)) {
+  const auto unordered =
+      std::adjacent_find(parts_.begin(), parts_.end(),
+                         [](const RsmPart& a, const RsmPart& b) {
+                           return a.slot >= b.slot;
+                         });
+  if (unordered != parts_.end()) {
+    throw std::invalid_argument("RsmBundleMessage: slots must ascend");
+  }
+}
 
 std::string RsmBundleMessage::describe() const {
   std::ostringstream os;
   os << "RSM{";
   bool first = true;
-  for (const auto& [slot, part] : parts_) {
+  for (const RsmPart& part : parts_) {
     if (!first) os << ", ";
-    os << "s" << slot << ":" << part->describe();
+    os << "s" << part.slot << ":" << to_message(part)->describe();
     first = false;
   }
   os << "}";
@@ -22,13 +47,7 @@ std::string RsmBundleMessage::describe() const {
 
 bool RsmBundleMessage::same_content(const Message& other) const {
   const auto* that = as_same_type<RsmBundleMessage>(other);
-  return that != nullptr &&
-         std::equal(parts_.begin(), parts_.end(), that->parts_.begin(),
-                    that->parts_.end(), [](const auto& a, const auto& b) {
-                      return a.first == b.first &&
-                             (a.second == b.second ||
-                              a.second->same_content(*b.second));
-                    });
+  return that != nullptr && parts_ == that->parts_;
 }
 
 RsmCommandSource rsm_list_source(std::vector<Value> commands) {
@@ -154,18 +173,23 @@ MessagePtr RsmReplica::message_for_round(Round k) {
          k > retained_.front().until) {
     retained_.pop_front();
   }
-  std::map<int, MessagePtr> parts;
+  std::vector<RsmPart> parts;
+  parts.reserve(retained_.size() + open_.size());
   for (const Retained& r : retained_) {
     // Keep broadcasting the outcome so every replica catches up.
-    parts[r.slot] = std::make_shared<DecideMessage>(*log_[r.slot]);
+    parts.push_back(to_part(r.slot, DecideMessage(*log_[r.slot])));
   }
   for (int slot : open_) {
     if (slots_[slot]->halted()) {
-      parts[slot] = std::make_shared<DecideMessage>(*slots_[slot]->decision());
+      parts.push_back(to_part(slot, DecideMessage(*slots_[slot]->decision())));
       continue;
     }
-    parts[slot] = slots_[slot]->message_for_round(k - slot_start(slot) + 1);
+    parts.push_back(to_part(
+        slot, *slots_[slot]->message_for_round(k - slot_start(slot) + 1)));
   }
+  // Retained slots are in commit order; a committed slot is never open.
+  std::sort(parts.begin(), parts.end(),
+            [](const RsmPart& a, const RsmPart& b) { return a.slot < b.slot; });
   return std::make_shared<RsmBundleMessage>(std::move(parts));
 }
 
@@ -180,34 +204,58 @@ void RsmReplica::on_round(Round k, const Delivery& delivered) {
   }
   if (last + 1 > started_hwm_) started_hwm_ = last + 1;
 
+  // Slots ascend here and in every bundle, so one cursor per bundle walks
+  // each delivered bundle once across the whole round.
+  cursors_.clear();
+  for (const Envelope& env : delivered) {
+    if (const auto* bundle = env.as<RsmBundleMessage>()) {
+      const std::vector<RsmPart>& parts = bundle->parts();
+      cursors_.push_back({&env, parts.data(), parts.data() + parts.size()});
+    }
+  }
+
   for (int slot : round_slots_) {
     if (log_[slot]) continue;  // already committed here
-    const Round inner_round = k - slot_start(slot) + 1;
+    const Round start = slot_start(slot);
+    const Round inner_round = k - start + 1;
     if (inner_round < 1) continue;
 
-    // Project the bundle envelopes onto this slot.
-    Delivery inner;
-    for (const Envelope& env : delivered) {
-      const auto* bundle = env.as<RsmBundleMessage>();
-      if (!bundle) continue;
-      const MessagePtr* part = bundle->part(slot);
-      if (!part) continue;
-      const Round inner_send = env.send_round - slot_start(slot) + 1;
-      if (inner_send >= 1) {
-        inner.push_back(Envelope{env.sender, inner_send, *part});
-      }
+    // Move every cursor onto this slot; a bundle carries a part for it
+    // when its cursor lands there and the copy was sent in the slot's life.
+    for (BundleCursor& c : cursors_) {
+      while (c.next != c.end && c.next->slot < slot) ++c.next;
     }
+    const auto carries = [slot, start](const BundleCursor& c) {
+      return c.next != c.end && c.next->slot == slot &&
+             c.envelope->send_round - start + 1 >= 1;
+    };
 
-    // A DECIDE notice settles the slot even if our instance lags.
-    if (auto d = find_decide_notice(inner)) {
-      record_commit(slot, *d, k);
+    // A DECIDE notice settles the slot even if our instance lags; the
+    // first in delivery order wins, as in find_decide_notice.
+    std::optional<Value> notice;
+    for (const BundleCursor& c : cursors_) {
+      if (carries(c) && (notice = decide_notice(*c.next))) break;
+    }
+    if (notice) {
+      record_commit(slot, *notice, k);
       continue;
     }
     start_slot(slot);
     if (slots_[slot]->halted()) continue;
-    slots_[slot]->on_round(inner_round, inner);
+    // Only a live instance needs Messages: build them from the parts.
+    inner_.clear();
+    for (const BundleCursor& c : cursors_) {
+      if (carries(c)) {
+        inner_.push_back(Envelope{c.envelope->sender,
+                                  c.envelope->send_round - start + 1,
+                                  to_message(*c.next)});
+      }
+    }
+    slots_[slot]->on_round(inner_round, inner_);
     if (auto d = slots_[slot]->decision()) record_commit(slot, *d, k);
   }
+  inner_.clear();
+  cursors_.clear();
 }
 
 AlgorithmFactory rsm_ingest_factory(

@@ -14,6 +14,9 @@
 //   * Each round a replica broadcasts a bundle holding one part per active
 //     slot: the slot algorithm's message, or a DECIDE notice once the
 //     replica knows the slot's outcome (so slow replicas always catch up).
+//     A part is a flat value (rsm/part.hpp), so a bundle is one vector; a
+//     receiver settles DECIDE parts directly and builds a Message only for
+//     a part that feeds a live slot instance.
 //     `decide_retention` bounds how long outcomes are re-broadcast; the
 //     default (forever) matches the original behavior, while long-running
 //     campaigns set a finite retention so per-round bundles stay O(active
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "consensus/consensus.hpp"
+#include "rsm/part.hpp"
 
 namespace indulgence {
 
@@ -91,26 +95,23 @@ struct RsmOptions {
                                ///< value suffices once bounds hold.
 };
 
-/// The per-round bundle: one part per active slot.
+/// The per-round bundle: one part per active slot, by value, in strictly
+/// ascending slot order.  The bundle owns its parts; nothing in them points
+/// anywhere, so a retained copy in a trace costs one vector.
 class RsmBundleMessage final : public Message {
  public:
-  explicit RsmBundleMessage(std::map<int, MessagePtr> parts)
-      : parts_(std::move(parts)) {}
+  /// Throws std::invalid_argument unless the slots strictly ascend.
+  explicit RsmBundleMessage(std::vector<RsmPart> parts);
 
-  const std::map<int, MessagePtr>& parts() const { return parts_; }
-
-  const MessagePtr* part(int slot) const {
-    auto it = parts_.find(slot);
-    return it == parts_.end() ? nullptr : &it->second;
-  }
+  const std::vector<RsmPart>& parts() const { return parts_; }
 
   std::string describe() const override;
 
-  /// Same slot keys, and part-wise same_content per slot.
+  /// Part-wise equality: the same slots carrying equal payloads.
   bool same_content(const Message& other) const override;
 
  private:
-  std::map<int, MessagePtr> parts_;
+  std::vector<RsmPart> parts_;
 };
 
 class RsmReplica : public RoundAlgorithm {
@@ -202,6 +203,15 @@ class RsmReplica : public RoundAlgorithm {
   /// Started-but-uncommitted slots, ascending — the per-round working set.
   std::vector<int> open_;
   std::vector<int> round_slots_;  ///< scratch for on_round's iteration
+
+  /// on_round's walk of one delivered bundle: the next part not yet passed.
+  struct BundleCursor {
+    const Envelope* envelope = nullptr;
+    const RsmPart* next = nullptr;
+    const RsmPart* end = nullptr;
+  };
+  std::vector<BundleCursor> cursors_;  ///< scratch, valid within on_round
+  Delivery inner_;                     ///< scratch: one slot's delivery
   /// Committed slots still re-broadcasting DECIDE, in commit order (so
   /// expiry pruning pops from the front).
   std::deque<Retained> retained_;

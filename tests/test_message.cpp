@@ -5,6 +5,7 @@
 #include "consensus/consensus.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "net/wire.hpp"
 #include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
 #include "sim/message.hpp"
@@ -71,8 +72,12 @@ MessagePtr vote(Value v) {
 }
 
 std::shared_ptr<RsmBundleMessage> bundle(
-    std::map<int, MessagePtr> parts) {
-  return std::make_shared<RsmBundleMessage>(std::move(parts));
+    const std::vector<std::pair<int, MessagePtr>>& parts) {
+  std::vector<RsmPart> flat;
+  for (const auto& [slot, message] : parts) {
+    flat.push_back(to_part(slot, *message));
+  }
+  return std::make_shared<RsmBundleMessage>(std::move(flat));
 }
 
 TEST(SameContent, HurfinRaynalMessagesCompareByValue) {
@@ -129,6 +134,51 @@ TEST(SameContent, RsmBundlesCompareSlotKeysAndPartsPairwise) {
                                       {2, vote(3)}})));
   EXPECT_TRUE(same(*bundle({}), *bundle({})));
   EXPECT_FALSE(same(*make(), DecideMessage(5)));
+}
+
+/// A steady-state A_{t+2} + Hurfin-Raynal bundle, as the live RSM sends it:
+/// a retained DECIDE, a FILLER, a phase-1 estimate with a halt set, a
+/// BOTTOM new estimate, and the underlying module's coordinator and vote.
+/// `hr_vote` and `halt` let a caller change one part.
+std::shared_ptr<RsmBundleMessage> steady_state_bundle(
+    Value hr_vote = kBottom, ProcessSet halt = ProcessSet{0, 2}) {
+  return bundle({{3, std::make_shared<DecideMessage>(41)},
+                 {4, std::make_shared<FillerMessage>()},
+                 {5, std::make_shared<At2EstimateMessage>(17, halt)},
+                 {6, std::make_shared<At2NewEstimateMessage>(kBottom)},
+                 {7, std::make_shared<At2UnderlyingMessage>(
+                         std::make_shared<HrCoordMessage>(9))},
+                 {8, vote(hr_vote)}});
+}
+
+TEST(SameContent, SteadyStateBundlesCompareEveryPartField) {
+  const auto own = steady_state_bundle();
+  // A separately decoded copy, as a socket reader hands it to a replica.
+  WireWriter w;
+  encode_message(*own, w);
+  WireReader r(w.data(), w.size());
+  const MessagePtr copy = decode_message(r);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_TRUE(same(*own, *copy));
+  EXPECT_TRUE(same(*steady_state_bundle(), *steady_state_bundle()));
+  // The BOTTOM vote against a value, and the halt set against another.
+  EXPECT_FALSE(same(*own, *steady_state_bundle(4)));
+  EXPECT_FALSE(same(*own, *steady_state_bundle(kBottom, ProcessSet{0})));
+  // The same leaf with and without its At2Underlying wrapper.
+  EXPECT_FALSE(same(*bundle({{8, vote(kBottom)}}),
+                    *bundle({{8, std::make_shared<HrVoteMessage>(kBottom)}})));
+  // DECIDE and HALTED carry one value but are different payloads.
+  EXPECT_FALSE(same(*bundle({{3, std::make_shared<DecideMessage>(41)}}),
+                    *bundle({{3, std::make_shared<HaltedMessage>(41)}})));
+}
+
+TEST(SameContent, BundleSlotsMustStrictlyAscend) {
+  EXPECT_THROW(bundle({{2, std::make_shared<FillerMessage>()},
+                       {1, std::make_shared<FillerMessage>()}}),
+               std::invalid_argument);
+  EXPECT_THROW(bundle({{1, std::make_shared<FillerMessage>()},
+                       {1, std::make_shared<DecideMessage>(3)}}),
+               std::invalid_argument);
 }
 
 TEST(SameContent, TypesWithoutAnOverrideFallBackToDescribe) {

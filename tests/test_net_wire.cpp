@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <random>
 #include <vector>
@@ -74,11 +73,10 @@ TEST(WireCodec, EveryRegisteredMessageTypeRoundTrips) {
   expect_roundtrip(At2NewEstimateMessage(kBottom));
   expect_roundtrip(
       At2UnderlyingMessage(std::make_shared<HrCoordMessage>(99)));
-  std::map<int, MessagePtr> parts;
-  parts.emplace(0, std::make_shared<CtProposeMessage>(1));
-  parts.emplace(3, std::make_shared<At2UnderlyingMessage>(
-                       std::make_shared<FloodEstimateMessage>(2)));
-  expect_roundtrip(RsmBundleMessage(std::move(parts)));
+  expect_roundtrip(RsmBundleMessage(
+      {to_part(0, CtProposeMessage(1)),
+       to_part(3, At2UnderlyingMessage(
+                      std::make_shared<FloodEstimateMessage>(2)))}));
   expect_roundtrip(AuthProposeMessage(2, 7, 2, 33, 1, 33,
                                       ProcessSet::from_mask(0b1101)));
   expect_roundtrip(AuthProposeMessage(0, 1, 0, 5, -1, kBottom, ProcessSet()));
@@ -152,6 +150,46 @@ TEST(WireCodec, BundleCountIsLengthCheckedBeforeAllocation) {
   w.i32(1);
   WireReader r(w.bytes().data(), w.bytes().size());
   EXPECT_EQ(decode_message(r), nullptr);
+}
+
+/// A bundle body with the given slots, each carrying a FILLER.
+std::vector<std::uint8_t> bundle_with_slots(const std::vector<int>& slots) {
+  WireWriter w;
+  w.u8(17);  // RsmBundle
+  w.u32(static_cast<std::uint32_t>(slots.size()));
+  for (int slot : slots) {
+    w.i32(slot);
+    w.u8(3);  // Filler
+  }
+  return w.take();
+}
+
+MessagePtr decode_bytes(const std::vector<std::uint8_t>& bytes) {
+  WireReader r(bytes.data(), bytes.size());
+  return decode_message(r);
+}
+
+TEST(WireCodec, BundleSlotsMustStrictlyAscend) {
+  // Our encoder writes slots in strictly ascending order; a duplicated
+  // slot or an out-of-order one is not a bundle any replica sent.
+  EXPECT_NE(decode_bytes(bundle_with_slots({1, 2, 5})), nullptr);
+  EXPECT_EQ(decode_bytes(bundle_with_slots({1, 2, 2})), nullptr);
+  EXPECT_EQ(decode_bytes(bundle_with_slots({4, 1})), nullptr);
+  EXPECT_EQ(decode_bytes(bundle_with_slots({1, 3, 2, 4})), nullptr);
+}
+
+TEST(WireCodec, BundlesDoNotNest) {
+  // A part is a leaf payload, wrapped or not, never a bundle.
+  WireWriter inner;
+  inner.u8(17);  // RsmBundle
+  inner.u32(1);
+  inner.i32(0);
+  for (const std::uint8_t b : bundle_with_slots({0})) inner.u8(b);
+  EXPECT_EQ(decode_bytes(inner.take()), nullptr);
+  WireWriter wrapped;
+  wrapped.u8(16);  // At2Underlying
+  for (const std::uint8_t b : bundle_with_slots({0})) wrapped.u8(b);
+  EXPECT_EQ(decode_bytes(wrapped.take()), nullptr);
 }
 
 TEST(WireCodec, EncodingAnUnregisteredTypeThrows) {
@@ -332,6 +370,74 @@ TEST(WireV2, Envelope2GoldenBytes) {
   EXPECT_EQ(f->envelope.send_round, 3);
   EXPECT_EQ(f->envelope.target_round, 4);
   EXPECT_EQ(f->envelope.payload->describe(), env.payload->describe());
+}
+
+/// A steady-state A_{t+2} + Hurfin–Raynal bundle: a retained DECIDE, a
+/// FILLER, a phase-1 estimate with a halt set, a BOTTOM new estimate, and
+/// the underlying module's coordinator and BOTTOM vote.
+MessagePtr steady_state_bundle() {
+  return std::make_shared<RsmBundleMessage>(std::vector<RsmPart>{
+      to_part(3, DecideMessage(41)),
+      to_part(4, FillerMessage()),
+      to_part(5, At2EstimateMessage(17, ProcessSet{0, 2})),
+      to_part(6, At2NewEstimateMessage(kBottom)),
+      to_part(7, At2UnderlyingMessage(std::make_shared<HrCoordMessage>(9))),
+      to_part(8, At2UnderlyingMessage(
+                     std::make_shared<HrVoteMessage>(kBottom)))});
+}
+
+TEST(WireV2, Envelope2SteadyStateBundleGoldenBytes) {
+  NetEnvelope env;
+  env.group = 2;
+  env.sender = 1;
+  env.send_round = 12;
+  env.target_round = 12;
+  env.payload = steady_state_bundle();
+  const std::vector<std::uint8_t> frame =
+      frame_bytes(encode_envelope_frame2_into, 9, env);
+  const std::vector<std::uint8_t> golden = {
+      113,  0,    0,    0,      // body length
+      6,                        // frame type Envelope2
+      9,  0, 0, 0, 0, 0, 0, 0,  // seq
+      2,  0, 0, 0,              // group
+      1,  0, 0, 0,              // group-local sender
+      12, 0, 0, 0,              // send round
+      12, 0, 0, 0,              // target round
+      0xFF, 0xFF, 0xFF, 0xFF,   // origin (-1 = honest copy)
+      17,                       // message tag RsmBundle
+      6,  0, 0, 0,              // part count
+      3,  0, 0, 0,              // slot 3
+      2,                        //   tag Decide
+      41, 0, 0, 0, 0, 0, 0, 0,  //   value
+      4,  0, 0, 0,              // slot 4
+      3,                        //   tag Filler
+      5,  0, 0, 0,              // slot 5
+      14,                       //   tag At2Estimate
+      17, 0, 0, 0, 0, 0, 0, 0,  //   est
+      5,  0, 0, 0, 0, 0, 0, 0,  //   halt mask {0, 2}
+      6,  0, 0, 0,              // slot 6
+      15,                       //   tag At2NewEstimate
+      0, 0, 0, 0, 0, 0, 0, 0x80,  // BOTTOM
+      7,  0, 0, 0,              // slot 7
+      16,                       //   tag At2Underlying
+      5,                        //   tag HrCoord
+      9,  0, 0, 0, 0, 0, 0, 0,  //   est
+      8,  0, 0, 0,              // slot 8
+      16,                       //   tag At2Underlying
+      6,                        //   tag HrVote
+      0, 0, 0, 0, 0, 0, 0, 0x80,  // BOTTOM
+  };
+  EXPECT_EQ(frame, golden);
+
+  FrameParser parser;
+  parser.feed(frame.data(), frame.size());
+  auto f = parser.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->type, FrameType::Envelope2);
+  EXPECT_EQ(f->seq, 9u);
+  ASSERT_NE(f->envelope.payload, nullptr);
+  EXPECT_EQ(f->envelope.payload->describe(), env.payload->describe());
+  EXPECT_TRUE(f->envelope.payload->same_content(*env.payload));
 }
 
 TEST(WireV2, FinGoldenBytes) {
@@ -568,34 +674,45 @@ TEST(FrameParserFuzz, SeededRandomBytesNeverCrashOrSpin) {
 }
 
 TEST(FrameParserFuzz, EveryBitFlipOfARealFrameIsSurvivable) {
-  // A real Envelope2 frame carrying the widest Auth payload; flip each bit
-  // in turn.  Outcomes allowed: a (different) decoded frame, a skipped
-  // frame, or a poisoned stream — never a crash, and unless poisoned the
-  // parser must still parse a trailing heartbeat.
+  // Real Envelope2 frames carrying the widest Auth payload and a
+  // steady-state RSM bundle; flip each bit in turn.  Outcomes allowed: a
+  // (different) decoded frame, a skipped frame, or a poisoned stream —
+  // never a crash, and unless poisoned the parser must still parse a
+  // trailing heartbeat.
   NetEnvelope env;
   env.group = 1;
   env.sender = 2;
   env.send_round = 7;
   env.target_round = 7;
-  env.payload = std::make_shared<AuthProposeMessage>(
-      2, 7, 2, 33, 1, 33, ProcessSet::from_mask(0b1101));
-  const std::vector<std::uint8_t> frame =
-      frame_bytes(encode_envelope_frame2_into, 5, env);
   const std::vector<std::uint8_t> hb = frame_bytes(encode_heartbeat_into);
-  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
-    std::vector<std::uint8_t> mutated = frame;
-    mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    FrameParser parser(/*max_frame_bytes=*/1 << 16);
-    parser.feed(mutated.data(), mutated.size());
-    parser.feed(hb.data(), hb.size());
-    bool saw_heartbeat = false;
-    for (int i = 0; i < 4; ++i) {
-      auto f = parser.next();
-      if (!f) break;
-      if (f->type == FrameType::Heartbeat) saw_heartbeat = true;
-    }
-    if (!parser.poisoned() && parser.buffered() == 0) {
-      EXPECT_TRUE(saw_heartbeat) << "bit " << bit;
+  for (const MessagePtr& payload :
+       {MessagePtr(std::make_shared<AuthProposeMessage>(
+            2, 7, 2, 33, 1, 33, ProcessSet::from_mask(0b1101))),
+        steady_state_bundle()}) {
+    env.payload = payload;
+    const std::vector<std::uint8_t> frame =
+        frame_bytes(encode_envelope_frame2_into, 5, env);
+    for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      std::vector<std::uint8_t> mutated = frame;
+      mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      FrameParser parser(/*max_frame_bytes=*/1 << 16);
+      parser.feed(mutated.data(), mutated.size());
+      parser.feed(hb.data(), hb.size());
+      bool saw_heartbeat = false;
+      for (int i = 0; i < 4; ++i) {
+        auto f = parser.next();
+        if (!f) break;
+        if (f->type == FrameType::Heartbeat) saw_heartbeat = true;
+        // A decoded payload is whole: it renders and compares.
+        if (f->envelope.payload) {
+          EXPECT_FALSE(f->envelope.payload->describe().empty());
+          EXPECT_TRUE(
+              f->envelope.payload->same_content(*f->envelope.payload));
+        }
+      }
+      if (!parser.poisoned() && parser.buffered() == 0) {
+        EXPECT_TRUE(saw_heartbeat) << payload->describe() << " bit " << bit;
+      }
     }
   }
 }
@@ -627,11 +744,10 @@ std::vector<MessagePtr> registry_samples() {
   all.push_back(std::make_shared<At2NewEstimateMessage>(kBottom));
   all.push_back(std::make_shared<At2UnderlyingMessage>(
       std::make_shared<HrCoordMessage>(99)));
-  std::map<int, MessagePtr> parts;
-  parts.emplace(0, std::make_shared<CtProposeMessage>(1));
-  parts.emplace(3, std::make_shared<At2UnderlyingMessage>(
-                       std::make_shared<FloodEstimateMessage>(2)));
-  all.push_back(std::make_shared<RsmBundleMessage>(std::move(parts)));
+  all.push_back(std::make_shared<RsmBundleMessage>(std::vector<RsmPart>{
+      to_part(0, CtProposeMessage(1)),
+      to_part(3, At2UnderlyingMessage(
+                     std::make_shared<FloodEstimateMessage>(2)))}));
   all.push_back(std::make_shared<AuthProposeMessage>(
       2, 7, 2, 33, 1, 33, ProcessSet::from_mask(0b1101)));
   all.push_back(std::make_shared<AuthPrepareMessage>(1, 8, 2, kBottom));

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -230,11 +229,10 @@ MessagePtr decoded(const Message& message) {
 }
 
 MessagePtr rsm_bundle(int vote_slot, Value vote) {
-  std::map<int, MessagePtr> parts;
-  parts[0] = std::make_shared<DecideMessage>(5);
-  parts[vote_slot] = std::make_shared<At2UnderlyingMessage>(
-      std::make_shared<HrVoteMessage>(vote));
-  return std::make_shared<RsmBundleMessage>(std::move(parts));
+  return std::make_shared<RsmBundleMessage>(std::vector<RsmPart>{
+      to_part(0, DecideMessage(5)),
+      to_part(vote_slot, At2UnderlyingMessage(
+                             std::make_shared<HrVoteMessage>(vote)))});
 }
 
 /// The clean 1-round trace, with p0's broadcast carried as `own` to itself
