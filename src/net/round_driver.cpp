@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 namespace indulgence {
@@ -419,6 +420,8 @@ std::size_t mailbox_capacity_for(const LiveOptions& options, int n) {
                       (static_cast<std::size_t>(options.max_rounds) + 8));
 }
 
+namespace {
+
 std::exception_ptr pick_error(
     const std::vector<std::unique_ptr<RoundDriver>>& drivers) {
   std::exception_ptr fallback;
@@ -437,6 +440,47 @@ std::exception_ptr pick_error(
     }
   }
   return fallback;
+}
+
+}  // namespace
+
+DriverRun run_drivers(std::vector<DriverContext> contexts,
+                      const std::function<void()>& stop_transport) {
+  std::vector<std::pair<ProcessId, Mailbox*>> inboxes;
+  std::vector<std::unique_ptr<RoundDriver>> drivers;
+  inboxes.reserve(contexts.size());
+  drivers.reserve(contexts.size());
+  for (DriverContext& ctx : contexts) {
+    inboxes.emplace_back(ctx.self, ctx.mailbox);
+    drivers.push_back(std::make_unique<RoundDriver>(std::move(ctx)));
+  }
+  DriverRun run;
+  run.exited.resize(drivers.size());
+  std::vector<std::thread> threads;
+  threads.reserve(drivers.size());
+  for (std::size_t i = 0; i < drivers.size(); ++i) {
+    threads.emplace_back([&run, driver = drivers[i].get(), i] {
+      driver->run();
+      run.exited[i] = std::chrono::steady_clock::now();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  if (stop_transport) stop_transport();
+  for (const auto& [self, mailbox] : inboxes) {
+    for (NetEnvelope& env : mailbox->drain()) {
+      run.stranded.push_back(UndeliveredCopy{
+          env.sender, self, env.send_round, env.target_round, env.group});
+    }
+  }
+  if (std::exception_ptr error = pick_error(drivers)) {
+    std::rethrow_exception(error);
+  }
+  for (auto& driver : drivers) {
+    run.logs.push_back(std::move(driver->log()));
+    run.algorithms.push_back(driver->take_algorithm());
+  }
+  return run;
 }
 
 }  // namespace indulgence

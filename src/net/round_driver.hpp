@@ -221,10 +221,23 @@ class RoundDriver {
 /// exited.  Never below options.mailbox_capacity.
 std::size_t mailbox_capacity_for(const LiveOptions& options, int n);
 
-/// The root-cause failure among `drivers`, preferred over the cascade of
-/// "aborted by peer failure" errors an abort fans out to the others; null
-/// when every driver finished cleanly.
-std::exception_ptr pick_error(
-    const std::vector<std::unique_ptr<RoundDriver>>& drivers);
+/// What run_drivers hands back, one entry per context, in context order.
+struct DriverRun {
+  std::vector<ProcessLog> logs;
+  std::vector<std::unique_ptr<RoundAlgorithm>> algorithms;
+  /// Copies left in the drivers' mailboxes after the stop, tagged with
+  /// their receiver and group.
+  std::vector<UndeliveredCopy> stranded;
+  std::vector<std::chrono::steady_clock::time_point> exited;  ///< per driver
+};
+
+/// The driver-run scaffold every live runtime shares: one RoundDriver on
+/// its own thread per context, all joined, each stamped with its exit
+/// time; then `stop_transport` (so copies the transport still delivers
+/// during its teardown land in the mailboxes), the mailbox drain, and the
+/// root-cause driver failure rethrown — preferred over the cascade of
+/// "aborted by peer failure" errors an abort fans out to the others.
+DriverRun run_drivers(std::vector<DriverContext> contexts,
+                      const std::function<void()>& stop_transport);
 
 }  // namespace indulgence

@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "net/live_trace.hpp"
@@ -111,8 +110,8 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
   if (fabric) fabric->start(epoch);
   if (start_hook_) start_hook_(epoch);
 
-  std::vector<std::unique_ptr<RoundDriver>> drivers;
-  drivers.reserve(static_cast<std::size_t>(config_.n));
+  std::vector<DriverContext> contexts;
+  contexts.reserve(static_cast<std::size_t>(config_.n));
   for (ProcessId pid = 0; pid < config_.n; ++pid) {
     DriverContext ctx;
     ctx.self = pid;
@@ -135,41 +134,20 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
     ctx.done = done_;
     ctx.observer = observer_;
     ctx.epoch = epoch;
-    drivers.push_back(std::make_unique<RoundDriver>(std::move(ctx)));
+    contexts.push_back(std::move(ctx));
   }
-
-  std::vector<std::thread> threads;
-  threads.reserve(drivers.size());
-  for (auto& driver : drivers) {
-    threads.emplace_back([d = driver.get()] { d->run(); });
-  }
-  for (std::thread& t : threads) t.join();
 
   std::vector<UndeliveredCopy> undelivered;
-  if (router) undelivered = router->stop_and_flush();
-  if (fabric) {
-    undelivered = fabric->stop_and_flush();
-    socket_counters_ = fabric->counters();
-  }
-  for (ProcessId pid = 0; pid < config_.n; ++pid) {
-    for (NetEnvelope& env :
-         mailboxes[static_cast<std::size_t>(pid)]->drain()) {
-      undelivered.push_back(
-          UndeliveredCopy{env.sender, pid, env.send_round, env.target_round});
+  DriverRun run = run_drivers(std::move(contexts), [&] {
+    if (router) undelivered = router->stop_and_flush();
+    if (fabric) {
+      undelivered = fabric->stop_and_flush();
+      socket_counters_ = fabric->counters();
     }
-  }
-
-  if (std::exception_ptr error = pick_error(drivers)) {
-    std::rethrow_exception(error);
-  }
-
-  std::vector<ProcessLog> logs;
-  logs.reserve(drivers.size());
-  algorithms_.clear();
-  for (auto& driver : drivers) {
-    logs.push_back(std::move(driver->log()));
-    algorithms_.push_back(driver->take_algorithm());
-  }
+  });
+  undelivered.insert(undelivered.end(), run.stranded.begin(),
+                     run.stranded.end());
+  algorithms_ = std::move(run.algorithms);
   // Sockets never drop a copy: their channels are reliable.
   dropped_ = router             ? router->dropped_copies()
              : script_transport ? script_transport->dropped_copies()
@@ -180,7 +158,7 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
   merge.model = model;
   merge.gst_hint = schedule ? schedule->gst() : 0;
   merge.terminated = control.completed_normally();
-  merge.logs = &logs;
+  merge.logs = &run.logs;
   merge.undelivered = std::move(undelivered);
   merge.byzantine = declared_liars;
   merge.byzantine_budget = budget;

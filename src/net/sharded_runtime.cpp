@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -182,94 +181,55 @@ ShardedResult run_sharded(const ShardedOptions& options,
   fabric.start(epoch);
   if (options.on_start) options.on_start(epoch);
 
-  std::vector<std::vector<std::unique_ptr<RoundDriver>>> drivers(
-      static_cast<std::size_t>(groups));
-  std::vector<std::vector<std::chrono::steady_clock::time_point>> done_at(
-      static_cast<std::size_t>(groups));
+  std::vector<DriverContext> contexts;
+  contexts.reserve(static_cast<std::size_t>(groups) *
+                   static_cast<std::size_t>(config.n));
   for (GroupId g = 0; g < groups; ++g) {
     const std::vector<Value> proposals = proposals_for(g);
     if (static_cast<int>(proposals.size()) != config.n) {
       throw std::invalid_argument("sharded: need one proposal per replica");
     }
     const AlgorithmFactory factory = factory_for(g);
-    auto& group_drivers = drivers[static_cast<std::size_t>(g)];
-    done_at[static_cast<std::size_t>(g)].resize(
-        static_cast<std::size_t>(config.n));
+    const auto gi = static_cast<std::size_t>(g);
     for (ProcessId pid = 0; pid < config.n; ++pid) {
+      const auto pi = static_cast<std::size_t>(pid);
       DriverContext ctx;
       ctx.self = pid;
       ctx.config = config;
       ctx.options = &options.live;
-      ctx.transport = ports[static_cast<std::size_t>(g)]
-                           [static_cast<std::size_t>(pid)]
-                               .get();
-      ctx.mailbox = mailboxes[static_cast<std::size_t>(g)]
-                             [static_cast<std::size_t>(pid)]
-                                 .get();
-      ctx.control = controls[static_cast<std::size_t>(g)].get();
-      ctx.supervision = ports[static_cast<std::size_t>(g)]
-                             [static_cast<std::size_t>(pid)]
-                                 .get();
-      ctx.pulses = boards[static_cast<std::size_t>(g)].get();
+      ctx.transport = ports[gi][pi].get();
+      ctx.mailbox = mailboxes[gi][pi].get();
+      ctx.control = controls[gi].get();
+      ctx.supervision = ports[gi][pi].get();
+      ctx.pulses = boards[gi].get();
       ctx.fixed_rounds = options.fixed_rounds;
       ctx.factory = factory;
-      ctx.proposal = proposals[static_cast<std::size_t>(pid)];
+      ctx.proposal = proposals[pi];
       ctx.done = options.done;
       ctx.epoch = epoch;
-      group_drivers.push_back(std::make_unique<RoundDriver>(std::move(ctx)));
+      contexts.push_back(std::move(ctx));
     }
   }
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(groups) *
-                  static_cast<std::size_t>(config.n));
-  for (GroupId g = 0; g < groups; ++g) {
-    for (ProcessId pid = 0; pid < config.n; ++pid) {
-      RoundDriver* driver =
-          drivers[static_cast<std::size_t>(g)][static_cast<std::size_t>(pid)]
-              .get();
-      auto* slot = &done_at[static_cast<std::size_t>(g)]
-                           [static_cast<std::size_t>(pid)];
-      threads.emplace_back([driver, slot] {
-        driver->run();
-        *slot = std::chrono::steady_clock::now();
-      });
-    }
-  }
-  for (std::thread& t : threads) t.join();
 
   // Every returned copy carries its owning group.
   std::vector<std::vector<UndeliveredCopy>> undelivered(
       static_cast<std::size_t>(groups));
-  for (UndeliveredCopy& copy : fabric.stop_and_flush()) {
+  DriverRun run = run_drivers(std::move(contexts), [&] {
+    for (UndeliveredCopy& copy : fabric.stop_and_flush()) {
+      undelivered[static_cast<std::size_t>(copy.group)].push_back(copy);
+    }
+  });
+  for (UndeliveredCopy& copy : run.stranded) {
     undelivered[static_cast<std::size_t>(copy.group)].push_back(copy);
   }
-  for (GroupId g = 0; g < groups; ++g) {
-    for (ProcessId pid = 0; pid < config.n; ++pid) {
-      for (NetEnvelope& env : mailboxes[static_cast<std::size_t>(g)]
-                                       [static_cast<std::size_t>(pid)]
-                                           ->drain()) {
-        undelivered[static_cast<std::size_t>(g)].push_back(UndeliveredCopy{
-            env.sender, pid, env.send_round, env.target_round, g});
-      }
-    }
-  }
 
-  for (GroupId g = 0; g < groups; ++g) {
-    if (std::exception_ptr error =
-            pick_error(drivers[static_cast<std::size_t>(g)])) {
-      std::rethrow_exception(error);
-    }
-  }
-
+  // Driver i is replica i % n of group i / n.
   std::vector<GroupOutcome> outcomes(static_cast<std::size_t>(groups));
   std::vector<std::vector<ProcessLog>> logs(static_cast<std::size_t>(groups));
-  for (GroupId g = 0; g < groups; ++g) {
-    for (auto& driver : drivers[static_cast<std::size_t>(g)]) {
-      logs[static_cast<std::size_t>(g)].push_back(std::move(driver->log()));
-      outcomes[static_cast<std::size_t>(g)].algorithms.push_back(
-          driver->take_algorithm());
-    }
+  for (std::size_t i = 0; i < run.logs.size(); ++i) {
+    const std::size_t g = i / static_cast<std::size_t>(config.n);
+    logs[g].push_back(std::move(run.logs[i]));
+    outcomes[g].algorithms.push_back(std::move(run.algorithms[i]));
   }
   // The socket fabric applies the same plan inside every group, so every
   // group's merged trace gets the same liar stamp.
@@ -298,12 +258,10 @@ ShardedResult run_sharded(const ShardedOptions& options,
   for (GroupId g = 0; g < groups; ++g) {
     GroupOutcome& outcome = outcomes[static_cast<std::size_t>(g)];
     outcome.traffic = fabric.group_counters(g);
-    auto last = epoch;
-    for (const auto& at : done_at[static_cast<std::size_t>(g)]) {
-      last = std::max(last, at);
-    }
+    // The group's wall: epoch to the last of its drivers exiting.
+    const auto first = run.exited.begin() + g * config.n;
     outcome.wall = std::chrono::duration_cast<std::chrono::microseconds>(
-        last - epoch);
+        std::max(epoch, *std::max_element(first, first + config.n)) - epoch);
     result.groups.emplace(g, std::move(outcome));
   }
   result.counters = fabric.counters();
@@ -355,9 +313,9 @@ std::vector<ShippedLog> ShardedNode::run(Round fixed_rounds,
   // null: a remote pacemaker follower runs its grace-timeout fallback,
   // which is exactly the policy's pulse-loss story.
   std::vector<std::unique_ptr<RunControl>> controls;
-  std::vector<std::unique_ptr<RoundDriver>> drivers;
+  std::vector<DriverContext> contexts;
   controls.reserve(hosted_.size());
-  drivers.reserve(hosted_.size());
+  contexts.reserve(hosted_.size());
   for (Hosted& hosted : hosted_) {
     controls.push_back(std::make_unique<RunControl>(hosted.config));
     DriverContext ctx;
@@ -373,42 +331,31 @@ std::vector<ShippedLog> ShardedNode::run(Round fixed_rounds,
     ctx.proposal = hosted.proposal;
     ctx.done = done;
     ctx.epoch = epoch;
-    drivers.push_back(std::make_unique<RoundDriver>(std::move(ctx)));
+    contexts.push_back(std::move(ctx));
   }
 
-  std::vector<std::thread> threads;
-  threads.reserve(drivers.size());
-  for (auto& driver : drivers) {
-    threads.emplace_back([d = driver.get()] { d->run(); });
-  }
-  for (std::thread& t : threads) t.join();
-
-  if (std::exception_ptr error = pick_error(drivers)) {
-    std::rethrow_exception(error);
-  }
+  // A node hosts at most one replica per group, so a copy's group names
+  // its hosted replica; a node hosting none still stops its endpoint.
+  std::vector<UndeliveredCopy> unacked;
+  DriverRun run = run_drivers(std::move(contexts),
+                              [&] { unacked = endpoint_->stop_and_flush(); });
+  unacked.insert(unacked.end(), run.stranded.begin(), run.stranded.end());
 
   std::vector<ShippedLog> shipped;
   shipped.reserve(hosted_.size());
-  algorithms_.clear();
+  algorithms_ = std::move(run.algorithms);
   for (std::size_t i = 0; i < hosted_.size(); ++i) {
     Hosted& hosted = hosted_[i];
-    algorithms_.push_back(drivers[i]->take_algorithm());
     ShippedLog log;
     log.group = hosted.group;
     log.self = hosted.self;
     log.config = hosted.config;
-    log.log = std::move(drivers[i]->log());
-    log.undelivered = endpoint_->stop_and_flush_group(hosted.group);
-    for (NetEnvelope& env : hosted.mailbox->drain()) {
-      log.undelivered.push_back(UndeliveredCopy{
-          env.sender, hosted.self, env.send_round, env.target_round,
-          hosted.group});
+    log.log = std::move(run.logs[i]);
+    for (const UndeliveredCopy& copy : unacked) {
+      if (copy.group == hosted.group) log.undelivered.push_back(copy);
     }
     shipped.push_back(std::move(log));
   }
-  // A node hosting no replicas (more nodes than replica slots) still has to
-  // stop the endpoint it started.
-  if (hosted_.empty()) endpoint_->stop_and_flush();
   std::sort(shipped.begin(), shipped.end(),
             [](const ShippedLog& a, const ShippedLog& b) {
               return a.group < b.group;

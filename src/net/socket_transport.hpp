@@ -5,36 +5,32 @@
 //
 //   * The LINK layer is per peer *node* (OS process), not per consensus
 //     group.  Every node owns a SocketEndpoint — one listening socket plus
-//     one outbound link per peer node, each driven by a supervisor thread
-//     owning the connection lifecycle:
+//     one outbound link per peer node — and ONE event-loop thread that
+//     polls all of its sockets and steps each link's state machine:
 //
-//       DISCONNECTED --connect ok--> CONNECTED --io error/heartbeat
-//            ^    \                      |        timeout/injected reset
-//            |     +--connect fail       |
-//            |            |              v
-//            +--backoff---+------- DISCONNECTED (retry forever)
+//       DISCONNECTED --dial--> CONNECTING --HELLO2 out--> CONNECTED
+//            ^   (backoff)        |  connect_timeout         |  io error,
+//            |                    v                          |  send_timeout,
+//            +------------ DISCONNECTED <--------------------+  silence, reset
 //
 //     Reconnect/backoff, heartbeats, and the reliable seq/ack machinery
 //     all live here, once per link: envelopes of every group hosted on the
-//     node share one sequence space per link, one hold queue, one
-//     supervisor.  A reconnect storm on one peer link is one link's
-//     problem, however many groups ride on it.
+//     node share one sequence space per link and one hold queue.  A
+//     reconnect storm on one peer link is one link's problem, however many
+//     groups ride on it.
 //
 //   * The DEMUX layer is per consensus group.  A node registers the groups
 //     it hosts (add_group) before start(); each decoded ENVELOPE2 carries
 //     its owning GroupId and is routed — after per-link dedup — to the
 //     owning replica's mailbox.  The routing table is immutable after
-//     start(), so reader threads demultiplex without taking a lock, and no
-//     group's slow consumer can head-of-line block another group: mailbox
+//     start(), so the loop demultiplexes without taking a lock, and mailbox
 //     pushes go to per-group channels sized for the whole run.
 //
-// Reconnects use exponential backoff with decorrelated jitter
-// (next_backoff below — a pure function of (policy, previous, rng), so the
-// schedule is unit-testable without sleeping).  Indulgence is the design
-// rule the paper prices: a suspected peer is *never* dropped.  There is no
-// failure state; a dead peer just means the link retries forever while the
-// hold queue keeps every unacknowledged copy, and redelivers all of them —
-// in sequence order — after any reconnect.  Graceful degradation, not loss.
+// Reconnects use exponential backoff with decorrelated jitter (the pure
+// next_backoff below).  Indulgence is the design rule the paper prices: a
+// suspected peer is *never* dropped.  A dead peer just means the link
+// retries forever while the hold queue keeps every unacknowledged copy,
+// and redelivers all of them — in sequence order — after any reconnect.
 //
 // Reliable channels over a fallible wire: every envelope carries a
 // per-link sequence number; the receiver acknowledges cumulatively *after*
@@ -45,14 +41,17 @@
 // elicit acks on idle links, so a peer whose process is gone is detected
 // by silence (peer_silence) and the link falls back to redialing.
 //
-// One send path: every byte a link or a reader puts on a socket goes
-// through writev_until, charged against one send_timeout deadline from
-// the start of that write.  A link's flush gathers up to a batch of
-// queued frames into one write; while chaos is active on the link, each
-// frame is its own write, preceded by its fault draws.
+// The loop never waits on one fd.  Every byte it puts on a socket is a
+// GatherWrite: non-blocking gathered sendmsg calls that ship what the
+// socket takes now, charged against one send_timeout from the write's
+// first attempt.  A link mid-write keeps its place and waits for POLLOUT;
+// control frames start only at a frame boundary.  A link's flush gathers
+// up to a batch of queued frames into one write; while chaos is active on
+// the link, each frame is its own write, preceded by its fault draws.
 //
 // The wire-chaos layer fuzzes all of this from inside: seeded injected
-// connection resets, pre-write stalls, byte-at-a-time short writes,
+// connection resets, pre-write stalls (a per-link "not before" time, so a
+// stalled link never stalls the loop), byte-at-a-time short writes,
 // connect failures, and accept-then-close, all confined to a wall-clock
 // window (`until`, the chaos analogue of the router's pre-GST era) and
 // switched off by expedite().  The oracle stays the unchanged Validator:
@@ -61,8 +60,9 @@
 //
 // Teardown is a FIN exchange: a stopping endpoint says FIN on each link
 // once its hold queue is fully acknowledged and ends the link on the
-// peer's echo, while its readers keep acking until every peer's FIN has
-// arrived.  `linger` only bounds a peer that never says goodbye.
+// peer's echo, while it keeps acking inbound connections until every
+// peer's FIN has arrived; then its loop returns.  `linger` only bounds a
+// peer that never says goodbye.
 
 #pragma once
 
@@ -126,17 +126,44 @@ std::chrono::microseconds next_backoff(const BackoffPolicy& policy,
                                        std::chrono::microseconds prev,
                                        Rng& rng);
 
-/// The transport's only socket write: ships `count` iovecs (sendmsg, so
-/// MSG_NOSIGNAL applies) with as few syscalls as the kernel allows, and
-/// charges the WHOLE gather against one absolute deadline, however many
-/// short writes and POLLOUT waits it takes.  Returns false on error,
-/// POLLERR/POLLHUP, or when the deadline passes first.  `syscalls` counts
-/// every send attempt; `written` accumulates the bytes shipped even when
-/// the write breaks, so the caller can tell which complete frames made it
-/// out.  Advances `iov` in place past what was written.
-bool writev_until(int fd, iovec* iov, std::size_t count,
-                  std::chrono::steady_clock::time_point deadline,
-                  long& syscalls, std::size_t& written);
+/// The transport's only socket write: one gathered write in flight on a
+/// non-blocking socket.  begin() it, add() the byte ranges, then step()
+/// whenever the socket may take more: each step is ONE sendmsg
+/// (MSG_NOSIGNAL, MSG_DONTWAIT) that ships what the kernel accepts now —
+/// a single byte when dribbling — and never waits.  The whole write has
+/// one deadline, `timeout` after its first step, however many steps and
+/// partial writes it takes.  `written()` counts the bytes shipped even
+/// when the write breaks, so the caller can tell which frames made it out.
+class GatherWrite {
+ public:
+  using Clock = std::chrono::steady_clock;
+  enum class Status { Done, Pending, Failed };  ///< Pending: await POLLOUT
+
+  void begin(std::chrono::microseconds timeout, bool dribble = false);
+  void add(const std::uint8_t* data, std::size_t size) {
+    iov_.push_back(iovec{const_cast<std::uint8_t*>(data), size});
+  }
+  Status step(int fd, Clock::time_point now);
+
+  bool active() const { return next_ < iov_.size(); }
+  /// max() until the first step.
+  Clock::time_point deadline() const {
+    return started_ == Clock::time_point{} ? Clock::time_point::max()
+                                           : started_ + timeout_;
+  }
+  bool expired(Clock::time_point now) const { return now >= deadline(); }
+  std::size_t written() const { return written_; }
+  long syscalls() const { return syscalls_; }  ///< send attempts so far
+
+ private:
+  std::vector<iovec> iov_;
+  std::size_t next_ = 0;  ///< first iovec not yet fully written
+  std::size_t written_ = 0;
+  long syscalls_ = 0;
+  Clock::time_point started_{};
+  std::chrono::microseconds timeout_{0};
+  bool dribble_ = false;
+};
 
 /// First unflushed position in a link's hold queue.  The queue's seqs are
 /// always the contiguous ascending run [front_seq, front_seq + size):
@@ -150,21 +177,6 @@ inline std::size_t flush_resume_index(std::uint64_t front_seq,
   const std::uint64_t skip = sent_up_to - front_seq + 1;
   return skip >= size ? size : static_cast<std::size_t>(skip);
 }
-
-/// What the supervisor owes a connected link at its poll cycle's single
-/// timestamp `now`: nothing, a keep-alive heartbeat (tx idle), or a redial
-/// (the peer has been silent past peer_silence — acks included).  Pure so
-/// the boundaries are unit-testable without sockets.  The supervisor
-/// stamps last_tx with the SAME cycle timestamp its flush used, so a long
-/// flush can neither suppress a due heartbeat nor fire a spurious one
-/// within a cycle.
-enum class KeepaliveAction { None, Heartbeat, Redial };
-
-inline KeepaliveAction keepalive_action(
-    std::chrono::steady_clock::time_point now,
-    std::chrono::steady_clock::time_point last_rx,
-    std::chrono::steady_clock::time_point last_tx,
-    const struct SocketTransportOptions& options);
 
 /// The per-link reconnect state machine, clock-agnostic: time flows in
 /// through the `now` arguments only.
@@ -195,6 +207,8 @@ class ReconnectSchedule {
   /// Expedited shutdown: retry immediately, forever.
   void expedite() { next_attempt_ = TimePoint{}; }
 
+  TimePoint next_attempt() const { return next_attempt_; }
+
   std::chrono::microseconds current_delay() const { return delay_; }
   long failures() const { return failures_; }
 
@@ -215,7 +229,7 @@ struct WireChaosOptions {
   double connect_fail_prob = 0.0;  ///< outbound connect aborted before dial
   double accept_close_prob = 0.0;  ///< accepted connection closed instantly
   double reset_prob = 0.0;         ///< connection closed instead of a write
-  double stall_prob = 0.0;         ///< sleep `stall` before a write
+  double stall_prob = 0.0;         ///< hold a write back for `stall`
   std::chrono::microseconds stall{1'000};
   double short_write_prob = 0.0;   ///< dribble a frame byte-at-a-time
   /// >= 0: confine link-side chaos (connect failures, resets, stalls,
@@ -231,6 +245,8 @@ struct WireChaosOptions {
 };
 
 struct SocketTransportOptions {
+  /// Bounds a dial together with its HELLO2; send_timeout bounds every
+  /// other write from its first send attempt.
   std::chrono::microseconds connect_timeout{200'000};
   std::chrono::microseconds send_timeout{200'000};
   /// Idle links send a heartbeat this often; silence for `peer_silence`
@@ -238,9 +254,9 @@ struct SocketTransportOptions {
   std::chrono::microseconds heartbeat_every{25'000};
   std::chrono::microseconds peer_silence{150'000};
   /// Upper bound on stop_and_flush's FIN exchange (links drain and say
-  /// FIN, readers ack until every peer's FIN came in).  Peers that stop
-  /// together finish well inside it; it runs out only on a peer that never
-  /// says goodbye, such as a crashed process.
+  /// FIN, inbound connections are acked until every peer's FIN came in).
+  /// Peers that stop together finish well inside it; it runs out only on
+  /// a peer that never says goodbye, such as a crashed process.
   std::chrono::microseconds linger{250'000};
   BackoffPolicy backoff;
   WireChaosOptions chaos;
@@ -255,6 +271,12 @@ struct SocketTransportOptions {
   /// per-receiver; honest traffic keeps the encode-once fast path.
   std::vector<ByzantineInjection> byzantine;
 };
+
+/// What a connected link owes its peer at a frame boundary, judged at the
+/// loop pass's single timestamp `now`: nothing, a keep-alive heartbeat (tx
+/// idle), or a redial (the peer has been silent past peer_silence — acks
+/// included).  Pure so the boundaries are unit-testable without sockets.
+enum class KeepaliveAction { None, Heartbeat, Redial };
 
 inline KeepaliveAction keepalive_action(
     std::chrono::steady_clock::time_point now,
@@ -354,9 +376,10 @@ struct GroupSpec {
 
 /// One node's side of the socket fabric: a listener plus one supervised
 /// outbound link per peer node, multiplexing every group registered with
-/// add_group().  Drivers reach it through a per-group GroupPort.  The
-/// listener binds in the constructor (before any start()), so a set of
-/// endpoints created first and started later can always reach each other.
+/// add_group(), all driven by one event-loop thread.  Drivers reach it
+/// through a per-group GroupPort.  The listener binds in the constructor
+/// (before any start()), so a set of endpoints created first and started
+/// later can always reach each other.
 class SocketEndpoint {
  public:
   using Clock = std::chrono::steady_clock;
@@ -386,12 +409,9 @@ class SocketEndpoint {
 
   int node() const { return node_; }
 
-  /// The registered group ids, ascending — what HELLO2 advertises.
-  std::vector<GroupId> hosted_groups() const;
-
   // --- endpoint lifecycle ---------------------------------------------------
 
-  /// Starts the accept and link supervisor threads; `epoch` is the run's
+  /// Starts the endpoint's one event-loop thread; `epoch` is the run's
   /// t=0 for the wire-chaos window.
   void start(Clock::time_point epoch);
   /// Chaos off, drain fast: what expedite_group() fires once every hosted
@@ -433,34 +453,40 @@ class SocketEndpoint {
   SocketCounters link_counters(int node) const;
   /// What hosted group `group` owns; zeros for a group not hosted here.
   SocketCounters group_counters(GroupId group) const;
-  /// The frame-buffer pool recycling encoded envelopes across flushes
-  /// (observability: the E10 microbench and the pool tests read its
-  /// reuse/miss stats).
-  const FrameBufferPool& frame_pool() const { return pool_; }
-  /// The group set `node` advertised in its HELLO2 (empty until it dialed
-  /// us).
-  std::vector<GroupId> peer_advertised_groups(int node) const;
 
  private:
   struct Link;
   struct Inbound;
   struct GroupState;
 
+  friend std::vector<UndeliveredCopy> stop_and_flush_all(
+      const std::vector<std::unique_ptr<SocketEndpoint>>& endpoints);
+
+  /// What a link's write in flight carries.
+  enum class Carrying { Hello, Frames, Heartbeat, Fin };
+
   void init_listener_and_links();
   GroupState* find_group(GroupId group) const;
   Link* link_for_node(int node) const;
-  void accept_loop();
-  void reader_loop(Inbound* conn);
-  void supervisor_loop(Link* link);
-  bool connect_link(Link* link, Clock::time_point now);
-  bool flush_link(Link* link, Clock::time_point now);
-  bool pump_acks(Link* link);
-  bool send_fin(Link* link, Clock::time_point now);
-  void note_fin(int peer);
-  void drop_connection(Link* link);
   bool chaos_active(Clock::time_point now) const;
-  bool chaos_scoped(const Link* link) const;
-  void close_all_inbound();
+  bool chaos_scoped(const Link& link) const;
+  void wake();
+  void begin_stop();
+  void loop();
+  Clock::time_point redial_at(const Link& link, bool stopping) const;
+  bool step_link(Link& link, Clock::time_point now);
+  void begin_connect(Link& link, Clock::time_point now);
+  void connect_failed(Link& link, Clock::time_point now, bool injected);
+  void begin_write(Link& link, Carrying carrying, bool dribble);
+  void begin_frames(Link& link, Clock::time_point now);
+  bool step_write(Link& link, Clock::time_point now);
+  void account_frames(Link& link, Clock::time_point now, long syscalls);
+  void retire_acked(Link& link);
+  void drop_connection(Link& link);
+  void pump_acks(Link& link, Clock::time_point now);
+  void accept_ready(Clock::time_point now);
+  void read_inbound(Inbound& conn);
+  void flush_inbound(Inbound& conn, Clock::time_point now);
 
   int node_ = -1;
   int num_nodes_ = 0;
@@ -473,14 +499,18 @@ class SocketEndpoint {
   AddressResolver resolver_;
   SocketAddress listen_address_;
   int listen_fd_ = -1;
+  /// eventfd the dispatchers and expedite()/stop write to wake the loop;
+  /// `wake_armed_` keeps it to one write per loop pass.
+  int wake_fd_ = -1;
+  std::atomic<bool> wake_armed_{false};
 
-  /// Immutable after start(): reader threads demux without locks.
+  /// Immutable after start(): the loop demuxes without locks.
   std::map<GroupId, std::unique_ptr<GroupState>> groups_;
   std::vector<GroupId> hosted_group_ids_;  ///< ascending, = HELLO2 payload
 
   Clock::time_point epoch_{};
-  /// Written (before the `stopping_` release-store) by stop_and_flush;
-  /// supervisors read it only after an acquire-load of `stopping_`.
+  /// Written (before the `stopping_` release-store) by the stop; the loop
+  /// reads it only after an acquire-load of `stopping_`.
   Clock::time_point halt_deadline_{};
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
@@ -491,24 +521,18 @@ class SocketEndpoint {
   std::mutex expedite_mutex_;
   int expedited_groups_ = 0;
 
-  std::vector<std::unique_ptr<Link>> links_;  ///< one per peer node
-  std::vector<int> link_index_;  ///< node -> index in links_, -1 for self
+  std::vector<std::unique_ptr<Link>> links_;  ///< peer nodes, ascending
+  std::thread loop_thread_;
 
-  std::thread accept_thread_;
-  mutable std::mutex inbound_mutex_;
-  std::vector<std::unique_ptr<Inbound>> inbound_;
-  /// Latest HELLO2 advertisement per peer node.
-  std::map<int, std::vector<GroupId>> peer_groups_;
-
-  /// Peers whose FIN arrived (and was echoed) on an inbound connection.
-  std::mutex fin_mutex_;
-  std::condition_variable fin_cv_;
+  // Loop-thread-only state.
+  std::vector<std::unique_ptr<Inbound>> inbound_;  ///< live connections
+  Rng accept_rng_;
+  Clock::time_point accept_paused_until_{};  ///< after EMFILE and friends
+  /// Peers whose FIN arrived and was echoed on an inbound connection.
   std::vector<char> fin_from_;
   int fins_ = 0;
-
   /// Highest sequence delivered per peer node; survives reconnects
   /// (dedup).  Per link, shared by every group riding on it.
-  std::mutex delivered_mutex_;
   std::vector<std::uint64_t> delivered_seq_;
 
   mutable std::mutex counters_mutex_;
@@ -558,9 +582,11 @@ class GroupPort final : public SupervisedTransport {
   GroupId group_;
 };
 
-/// Stops every endpoint concurrently and returns their undelivered copies,
-/// endpoint by endpoint.  Stopping together is what lets the FIN exchange
-/// end early: an endpoint's readers stay up until every peer said FIN.
+/// Stops every endpoint together and returns their undelivered copies,
+/// endpoint by endpoint: first tells every loop to begin the FIN exchange,
+/// then waits for each, starting no thread.  Stopping together is what
+/// lets the exchange end early: an endpoint keeps acking until every peer
+/// said FIN.
 std::vector<UndeliveredCopy> stop_and_flush_all(
     const std::vector<std::unique_ptr<SocketEndpoint>>& endpoints);
 

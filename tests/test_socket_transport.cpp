@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -549,7 +552,7 @@ TEST(SocketCrash, GroupPortMarkDeadDropsCopiesToThatReplicaOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// The flush: resume arithmetic, write deadlines, keepalive boundaries
+// The flush: resume arithmetic and keepalive boundaries
 // ---------------------------------------------------------------------------
 
 TEST(FlushResumeIndex, ArithmeticCoversTheStateSpace) {
@@ -602,60 +605,14 @@ TEST(Keepalive, BoundariesAreStrictAndSilenceOutranksHeartbeat) {
             KeepaliveAction::Heartbeat);
 }
 
-/// A socketpair whose first end is non-blocking and whose send buffer is
-/// full, so the next write stalls until the peer reads.
-void fill_socketpair(int fds[2]) {
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const int flags = ::fcntl(fds[0], F_GETFL, 0);
-  ASSERT_EQ(::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK), 0);
-  std::vector<std::uint8_t> junk(1 << 16, 0xcd);
-  while (::send(fds[0], junk.data(), junk.size(), MSG_NOSIGNAL) > 0) {
-  }
-}
+// ---------------------------------------------------------------------------
+// The non-blocking write: one deadline per write, progress to a draining
+// peer, and a blocked link that waits for POLLOUT instead of spinning.
+// ---------------------------------------------------------------------------
 
-TEST(WritevUntil, WholeBufferChargedAgainstOneDeadline) {
-  // Fill a socketpair until the kernel buffer is solid, then try to push
-  // one more chunk with a short deadline: a per-stall (or, on the dribble
-  // path, per-byte) timeout would stack budgets; the single absolute
-  // deadline must give up when it passes.
-  int fds[2];
-  fill_socketpair(fds);
-  std::vector<std::uint8_t> junk(1 << 16, 0xcd);
-  iovec iov{junk.data(), junk.size()};
-  long syscalls = 0;
-  std::size_t written = 0;
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::milliseconds{50};
-  EXPECT_FALSE(writev_until(fds[0], &iov, 1, deadline, syscalls, written));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // Generous ceiling: well under even TWO stacked budgets, so a per-call
-  // (let alone per-byte) timeout regression fails loudly.
-  EXPECT_LT(elapsed, std::chrono::milliseconds{500});
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-TEST(WritevUntil, SubMillisecondDeadlineWaitsInsteadOfSpinning) {
-  // A deadline 500 us away: the POLLOUT wait must sleep it out.  A poll
-  // timeout truncated to whole milliseconds is poll(..., 0), and the
-  // write would retry hundreds of times before the deadline passes.
-  int fds[2];
-  fill_socketpair(fds);
-  std::uint8_t byte = 0xee;
-  iovec iov{&byte, 1};
-  long syscalls = 0;
-  std::size_t written = 0;
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(writev_until(fds[0], &iov, 1, start + 500us, syscalls,
-                            written));
-  EXPECT_GE(std::chrono::steady_clock::now() - start, 500us);
-  EXPECT_LE(syscalls, 3);
-  EXPECT_EQ(written, 0u);
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-TEST(WritevUntil, DrainedPeerLetsTheWriteFinish) {
+TEST(SocketWrite, DrainedPeerLetsTheWriteFinish) {
+  // A write much larger than the socket buffer finishes in steps, each
+  // shipping what the kernel takes while the peer drains.
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::vector<std::uint8_t> payload(1 << 20, 0xee);
@@ -668,15 +625,154 @@ TEST(WritevUntil, DrainedPeerLetsTheWriteFinish) {
       got += static_cast<std::size_t>(n);
     }
   });
-  iovec iov{payload.data(), payload.size()};
-  long syscalls = 0;
-  std::size_t written = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds{5};
-  EXPECT_TRUE(writev_until(fds[0], &iov, 1, deadline, syscalls, written));
+  GatherWrite write;
+  write.begin(5s);
+  write.add(payload.data(), payload.size());
+  GatherWrite::Status status = GatherWrite::Status::Pending;
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (status == GatherWrite::Status::Pending &&
+         std::chrono::steady_clock::now() < deadline) {
+    pollfd p{fds[0], POLLOUT, 0};
+    ::poll(&p, 1, 100);
+    status = write.step(fds[0], std::chrono::steady_clock::now());
+  }
+  EXPECT_EQ(status, GatherWrite::Status::Done);
+  EXPECT_EQ(write.written(), payload.size());
+  EXPECT_GT(write.syscalls(), 1) << "the buffer never filled: no partial write";
   ::close(fds[0]);
   drain.join();
   ::close(fds[1]);
+}
+
+TEST(SocketWrite, ProgressDoesNotExtendTheDeadline) {
+  // The write's one deadline runs from its FIRST step: later steps that
+  // ship more bytes do not buy a fresh send_timeout.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::vector<std::uint8_t> payload(1 << 20, 0xcd);
+  GatherWrite write;
+  write.begin(100ms);
+  write.add(payload.data(), payload.size());
+  EXPECT_EQ(write.deadline(), std::chrono::steady_clock::time_point::max());
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(write.step(fds[0], t0), GatherWrite::Status::Pending);
+  const std::size_t first = write.written();
+  // Drain what the first step queued, so the socket takes more.
+  std::vector<std::uint8_t> sink(1 << 16);
+  while (::recv(fds[1], sink.data(), sink.size(), MSG_DONTWAIT) > 0) {
+  }
+  const auto later = t0 + 80ms;
+  pollfd p{fds[0], POLLOUT, 0};
+  ASSERT_EQ(::poll(&p, 1, 1000), 1);
+  EXPECT_EQ(write.step(fds[0], later), GatherWrite::Status::Pending);
+  EXPECT_GT(write.written(), first) << "the second step made no progress";
+  EXPECT_EQ(write.deadline(), t0 + 100ms);
+  EXPECT_FALSE(write.expired(t0 + 99ms));
+  EXPECT_TRUE(write.expired(t0 + 100ms));
+  EXPECT_TRUE(write.expired(later + 20ms));
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+/// Node 0 of group 0 whose peers, nodes 1 and 2, are bare listeners that
+/// never accept and never read: node 0's links connect (the kernel queues
+/// the connection), fill their socket buffers with a deep backlog, and
+/// block mid-write.
+struct UnreadPeers {
+  explicit UnreadPeers(std::chrono::microseconds send_timeout)
+      : dir(fresh_socket_dir()) {
+    std::vector<SocketAddress> addrs;
+    for (int i = 0; i < cfg.n; ++i) {
+      addrs.push_back(
+          SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
+    }
+    for (int node : {1, 2}) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      sockaddr_un un{};
+      un.sun_family = AF_UNIX;
+      const std::string& path = addrs[static_cast<std::size_t>(node)].path;
+      std::memcpy(un.sun_path, path.c_str(), path.size() + 1);
+      EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&un), sizeof(un)), 0);
+      EXPECT_EQ(::listen(fd, 64), 0);
+      listeners.push_back(fd);
+    }
+    SocketTransportOptions opts;
+    opts.send_timeout = send_timeout;
+    // Keep-alive out of the way: only the write deadline may end a link.
+    opts.heartbeat_every = 10s;
+    opts.peer_silence = 20s;
+    opts.linger = 50ms;
+    endpoint = std::make_unique<SocketEndpoint>(0, addrs, opts);
+    endpoint->add_group(identity_group(0, cfg, &mailbox));
+    for (int i = 0; i < 20'000; ++i) {
+      endpoint->dispatch_group(
+          0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{i}));
+    }
+  }
+
+  ~UnreadPeers() {
+    endpoint.reset();
+    for (int fd : listeners) ::close(fd);
+    std::filesystem::remove_all(dir);
+  }
+
+  /// Waits until the links stop shipping frames for 100 ms: their socket
+  /// buffers are full and their writes are blocked.
+  void await_blocked() {
+    long last = -1;
+    int still = 0;
+    for (int i = 0; i < 500 && still < 5; ++i) {
+      std::this_thread::sleep_for(20ms);
+      const long sent = endpoint->group_counters(0).envelopes_sent;
+      still = sent == last && sent > 0 ? still + 1 : 0;
+      last = sent;
+    }
+    if (still < 5) ADD_FAILURE() << "the links never blocked";
+  }
+
+  const SystemConfig cfg{.n = 3, .t = 1};
+  std::string dir;
+  std::vector<int> listeners;
+  Mailbox mailbox{64};
+  std::unique_ptr<SocketEndpoint> endpoint;
+};
+
+TEST(SocketWrite, UnreadPeerIsDroppedOneSendTimeoutAfterTheWriteStarted) {
+  // The peer stops reading: the blocked write must give up about
+  // send_timeout after it started — one deadline for the whole write —
+  // and the link redials.  A redial well past that bound would mean the
+  // budget was stacked or restarted along the way.
+  const std::chrono::milliseconds send_timeout = 150ms;
+  UnreadPeers fabric(send_timeout);
+  const auto start = std::chrono::steady_clock::now();
+  fabric.endpoint->start(start);
+  std::chrono::steady_clock::duration redial{};
+  while (std::chrono::steady_clock::now() - start < 10s) {
+    if (fabric.endpoint->link_counters(1).connect_attempts >= 2) {
+      redial = std::chrono::steady_clock::now() - start;
+      break;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_GE(redial, send_timeout);
+  EXPECT_LT(redial, 2 * send_timeout + 300ms);
+  EXPECT_GT(fabric.endpoint->group_counters(0).envelopes_sent, 0);
+}
+
+TEST(SocketWrite, BlockedLinkWaitsInsteadOfSpinning) {
+  // While both links are blocked mid-write, the loop waits for POLLOUT:
+  // a 50 ms window (well over 500 us) may see a handful of send attempts,
+  // not the thousands a retry-until-deadline spin would make.
+  UnreadPeers fabric(10s);
+  fabric.endpoint->start(std::chrono::steady_clock::now());
+  fabric.await_blocked();
+  const long before = fabric.endpoint->counters().flush_syscalls;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(50ms);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 500us);
+  const long attempts = fabric.endpoint->counters().flush_syscalls - before;
+  EXPECT_LE(attempts, 4);
+  EXPECT_EQ(fabric.endpoint->link_counters(1).connect_attempts, 1);
 }
 
 TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
@@ -846,6 +942,122 @@ TEST(SocketEndpoint, ChaosOnOneLinkDoesNotDebatchTheOthers) {
   EXPECT_GE(frames_per_syscall, 4.0);
   endpoints.clear();
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Resources: one thread per endpoint, and no connection outlives its peer.
+// ---------------------------------------------------------------------------
+
+std::size_t count_entries(const char* dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// Three endpoints hosting group 0 over UDS, not yet started.
+struct ThreeNodes {
+  explicit ThreeNodes(const std::function<void(SocketTransportOptions&,
+                                               ProcessId)>& tune = {})
+      : dir(fresh_socket_dir()) {
+    std::vector<SocketAddress> addrs;
+    for (int i = 0; i < cfg.n; ++i) {
+      addrs.push_back(
+          SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
+    }
+    for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+      mailboxes.push_back(std::make_unique<Mailbox>(1 << 16));
+      SocketTransportOptions opts;
+      opts.seed = 1400 + static_cast<std::uint64_t>(pid);
+      if (tune) tune(opts, pid);
+      endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+      endpoints.back()->add_group(
+          identity_group(pid, cfg, mailboxes.back().get()));
+    }
+  }
+
+  ~ThreeNodes() {
+    endpoints.clear();
+    std::filesystem::remove_all(dir);
+  }
+
+  const SystemConfig cfg{.n = 3, .t = 1};
+  std::string dir;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes;
+  std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
+};
+
+TEST(SocketEndpoint, EachStartRunsExactlyOneThread) {
+  // One event loop per endpoint: start() adds exactly one thread, live
+  // connections add none, and the stop joins every loop without starting
+  // a thread of its own.
+  ThreeNodes fabric;
+  // Sanitizer runtimes start a helper thread with the first thread the
+  // process creates; let that happen before counting.
+  std::thread([] {}).join();
+  const std::size_t baseline = count_entries("/proc/self/task");
+  const auto epoch = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < fabric.endpoints.size(); ++i) {
+    const std::size_t before = count_entries("/proc/self/task");
+    fabric.endpoints[i]->start(epoch);
+    EXPECT_EQ(count_entries("/proc/self/task"), before + 1) << "endpoint " << i;
+  }
+  for (ProcessId pid = 0; pid < fabric.cfg.n; ++pid) {
+    fabric.endpoints[static_cast<std::size_t>(pid)]->dispatch_group(
+        0, pid, 1, std::make_shared<FloodEstimateMessage>(Value{pid}));
+  }
+  for (auto& mailbox : fabric.mailboxes) {
+    for (int i = 0; i < fabric.cfg.n - 1; ++i) {
+      ASSERT_TRUE(mailbox->pop_for(5s).has_value());
+    }
+  }
+  // Every link is connected and every inbound connection accepted.
+  EXPECT_EQ(count_entries("/proc/self/task"), baseline + 3);
+  EXPECT_TRUE(stop_and_flush_all(fabric.endpoints).empty());
+  // A joined thread can linger in /proc for a moment after it is released.
+  for (int i = 0; i < 100 && count_entries("/proc/self/task") != baseline;
+       ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_EQ(count_entries("/proc/self/task"), baseline);
+}
+
+TEST(SocketEndpoint, ResetChaosDoesNotAccumulateInboundConnections) {
+  // Every injected reset ends a connection: the link redials, and the
+  // peer must release the inbound side as soon as it reads the EOF, not
+  // at stop.  So the process' open fds stay within a small constant of
+  // their count right after start, however many resets pile up.
+  ThreeNodes fabric([](SocketTransportOptions& opts, ProcessId pid) {
+    opts.chaos.seed = 1500 + static_cast<std::uint64_t>(pid);
+    opts.chaos.until = std::chrono::hours{1};
+    opts.chaos.reset_prob = 0.5;
+  });
+  const auto epoch = std::chrono::steady_clock::now();
+  for (auto& ep : fabric.endpoints) ep->start(epoch);
+  const std::size_t baseline = count_entries("/proc/self/fd");
+  std::size_t peak = baseline;
+  long resets = 0;
+  for (Round k = 1; resets < 1000; ++k) {
+    ASSERT_LT(std::chrono::steady_clock::now() - epoch, 60s)
+        << "only " << resets << " resets";
+    for (ProcessId pid = 0; pid < fabric.cfg.n; ++pid) {
+      fabric.endpoints[static_cast<std::size_t>(pid)]->dispatch_group(
+          0, pid, k, std::make_shared<FloodEstimateMessage>(Value{k}));
+    }
+    for (auto& mailbox : fabric.mailboxes) mailbox->drain();
+    peak = std::max(peak, count_entries("/proc/self/fd"));
+    resets = 0;
+    for (auto& ep : fabric.endpoints) resets += ep->counters().injected_resets;
+    std::this_thread::sleep_for(200us);
+  }
+  stop_and_flush_all(fabric.endpoints);
+  EXPECT_GE(resets, 1000);
+  // Each endpoint holds a listener, an eventfd, two links and about two
+  // inbound connections; a reset briefly overlaps an old connection with
+  // its redial.  Leaking one fd per reset would blow far past this.
+  EXPECT_LE(peak, baseline + 24) << "baseline " << baseline;
 }
 
 // ---------------------------------------------------------------------------
