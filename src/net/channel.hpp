@@ -67,6 +67,32 @@ class Channel {
     return pop_locked();
   }
 
+  /// Blocks until an item arrives, the channel closes, wake() is called or
+  /// `deadline` passes (time_point::max() = no deadline); nullopt unless an
+  /// item arrived.  A consumer that waits for events other than items gets
+  /// them through wake(), which is sticky: a wake() that lands before the
+  /// wait starts ends the next wait at once, so none is lost.
+  std::optional<T> pop_until(std::chrono::steady_clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto ready = [this] { return closed_ || woken_ || !items_.empty(); };
+    if (deadline == std::chrono::steady_clock::time_point::max()) {
+      not_empty_.wait(lock, ready);
+    } else {
+      not_empty_.wait_until(lock, deadline, ready);
+    }
+    woken_ = false;
+    return pop_locked();
+  }
+
+  /// Ends the consumer's current (or next) pop_until wait without an item.
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      woken_ = true;
+    }
+    not_empty_.notify_all();
+  }
+
   /// Closes the channel: pending items stay poppable, pushes start failing,
   /// blocked producers and consumers wake.
   void close() {
@@ -117,6 +143,7 @@ class Channel {
   std::condition_variable not_empty_;
   std::deque<T> items_;
   bool closed_ = false;
+  bool woken_ = false;
 };
 
 }  // namespace indulgence

@@ -59,11 +59,12 @@ void RunControl::report_done(ProcessId pid) {
     }
     if (all) request_stop_locked(true, fire);
   }
-  if (fire && on_stop) on_stop();
+  if (fire) stopped();
 }
 
 void RunControl::report_crash(ProcessId pid) {
   bool fire = false;
+  bool crashed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!crashed_[static_cast<std::size_t>(pid)]) {
@@ -74,6 +75,7 @@ void RunControl::report_crash(ProcessId pid) {
       // from the live processes only.
       armed_[static_cast<std::size_t>(pid)] = 0;
       crashed_n_.fetch_add(1, std::memory_order_acq_rel);
+      crashed = true;
       bool all = true;
       for (std::size_t i = 0; i < done_.size(); ++i) {
         if (!crashed_[i] && !done_[i]) {
@@ -84,7 +86,11 @@ void RunControl::report_crash(ProcessId pid) {
       if (all) request_stop_locked(true, fire);
     }
   }
-  if (fire && on_stop) on_stop();
+  if (fire) {
+    stopped();
+  } else if (crashed) {
+    wake_watchers();
+  }
 }
 
 void RunControl::force_stop(bool completed) {
@@ -93,7 +99,16 @@ void RunControl::force_stop(bool completed) {
     std::lock_guard<std::mutex> lock(mutex_);
     request_stop_locked(completed, fire);
   }
-  if (fire && on_stop) on_stop();
+  if (fire) stopped();
+}
+
+void RunControl::stopped() {
+  if (on_stop) on_stop();
+  wake_watchers();
+}
+
+void RunControl::wake_watchers() const {
+  for (Mailbox* mailbox : watchers_) mailbox->wake();
 }
 
 bool RunControl::boundary(ProcessId pid, Round next_round) {
@@ -252,25 +267,37 @@ void RoundDriver::collect_live(Round k) {
     // later are crash-round deliveries the synchrony check exempts.
     if (in_round_count_ >= view.possible && floor_passed) break;
 
+    // Wait for the next envelope, or until the earliest timer below can
+    // close the round; a stop, a crash or a pulse wakes the mailbox.
+    Clock::time_point wake_at = Clock::time_point::max();
+    const auto due = [&](Clock::time_point at) {
+      wake_at = std::min(wake_at, at);
+    };
+    if (!floor_passed) due(round_start + opt.round_floor);
     if (ctx_.control->stop_requested()) {
       if (!drain_since) {
         drain_since = now;
       } else if (now - *drain_since >= opt.drain_wait) {
         break;  // scheduling-jitter valve; expedited copies land in microseconds
       }
+      due(*drain_since + opt.drain_wait);
     } else {
       // The synchronizer is only consulted at or above the n − t quorum —
       // the validator's t-resilience floor.  No policy (or corrupted
       // policy state) can close a round below it.
-      if (in_round_count_ >= view.quorum &&
-          synchronizer_->should_close(view, now) && floor_passed) {
-        break;
+      if (in_round_count_ >= view.quorum) {
+        if (synchronizer_->should_close(view, now) && floor_passed) break;
+        // Below the floor, the floor's own deadline comes first.
+        if (floor_passed) due(synchronizer_->close_deadline(view));
       }
-      if (opt.round_cap.count() > 0 && now - round_start >= opt.round_cap) {
-        break;  // model-violating escape valve (lossy runs); validator flags it
+      if (opt.round_cap.count() > 0) {
+        if (now - round_start >= opt.round_cap) {
+          break;  // model-violating escape valve (lossy runs); validator flags it
+        }
+        due(round_start + opt.round_cap);
       }
     }
-    if (auto env = ctx_.mailbox->pop_for(std::chrono::microseconds{100})) {
+    if (auto env = ctx_.mailbox->pop_until(wake_at)) {
       route(std::move(*env), k);
     }
   }
@@ -452,6 +479,14 @@ DriverRun run_drivers(std::vector<DriverContext> contexts,
   drivers.reserve(contexts.size());
   for (DriverContext& ctx : contexts) {
     inboxes.emplace_back(ctx.self, ctx.mailbox);
+    // A driver waits on its mailbox until an envelope or a timer of its
+    // own; the group's stop, crashes and pulses wake it too.
+    ctx.control->watch(ctx.mailbox);
+    if (ctx.pulses != nullptr) {
+      ctx.pulses->on_publish = [control = ctx.control] {
+        control->wake_watchers();
+      };
+    }
     drivers.push_back(std::make_unique<RoundDriver>(std::move(ctx)));
   }
   DriverRun run;

@@ -119,8 +119,18 @@ class RunControl {
   /// opposed to a round-cap abort).
   bool completed_normally() const;
 
+  /// Wakes `mailbox` whenever the stop is requested or a crash is
+  /// reported, so a driver waiting on it re-evaluates its round at once.
+  /// Register before the driver threads start.
+  void watch(Mailbox* mailbox) { watchers_.push_back(mailbox); }
+
+  /// Ends the current mailbox wait of every watching driver.
+  void wake_watchers() const;
+
  private:
   void request_stop_locked(bool completed, bool& fire);
+  /// Runs on_stop and wakes the watchers, once, outside the lock.
+  void stopped();
   bool all_live_armed_locked() const;
   /// The stop round S: the maximum boundary candidate over processes that
   /// are still live.  A crashed process' candidate is dropped — its
@@ -140,6 +150,7 @@ class RunControl {
   std::atomic<bool> stop_{false};
   std::atomic<bool> aborted_{false};
   std::atomic<int> crashed_n_{0};
+  std::vector<Mailbox*> watchers_;
 };
 
 struct DriverContext {

@@ -603,7 +603,8 @@ void SocketEndpoint::loop() {
 
 Clock::time_point SocketEndpoint::redial_at(const Link& link,
                                             bool stopping) const {
-  return stopping  // a draining link skips the backoff || expedited_.load(std::memory_order_acquire)
+  // A draining or expedited link skips the backoff.
+  return stopping || expedited_.load(std::memory_order_acquire)
              ? link.not_before
              : std::max(link.not_before, link.schedule.next_attempt());
 }

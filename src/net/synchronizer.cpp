@@ -4,6 +4,14 @@ namespace indulgence {
 
 namespace {
 
+/// When a grace timer armed at `since` runs out; never while unarmed.
+std::chrono::steady_clock::time_point grace_deadline(
+    const std::optional<std::chrono::steady_clock::time_point>& since,
+    std::chrono::microseconds grace) {
+  if (!since) return std::chrono::steady_clock::time_point::max();
+  return *since + grace;
+}
+
 /// The historical close rule, verbatim: once a quorum of in-round messages
 /// is held, start a timer; close when it survives `quorum_grace`.  The
 /// two-call shape (first call arms, later calls compare) reproduces the
@@ -24,6 +32,11 @@ class LockstepSynchronizer : public RoundSynchronizer {
       return false;
     }
     return now - *quorum_since_ >= grace_;
+  }
+
+  std::chrono::steady_clock::time_point close_deadline(
+      const SyncView&) const override {
+    return grace_deadline(quorum_since_, grace_);
   }
 
   void corrupt(std::uint64_t bits) override {
@@ -84,6 +97,11 @@ class PacemakerSynchronizer : public RoundSynchronizer {
     return now - *quorum_since_ >= grace_;
   }
 
+  std::chrono::steady_clock::time_point close_deadline(
+      const SyncView&) const override {
+    return grace_deadline(quorum_since_, grace_);
+  }
+
   void corrupt(std::uint64_t bits) override {
     if (bits & 1) published_ = !published_;  // may drop this round's pulse
     if (bits & 2) quorum_since_.reset();
@@ -129,6 +147,12 @@ class FastStepSynchronizer : public RoundSynchronizer {
       return false;
     }
     return now - *quorum_since_ >= grace_;
+  }
+
+  std::chrono::steady_clock::time_point close_deadline(
+      const SyncView& view) const override {
+    if (!fallback_) return view.round_start + grace_;
+    return grace_deadline(quorum_since_, grace_);
   }
 
   void corrupt(std::uint64_t bits) override {

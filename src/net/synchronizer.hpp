@@ -1,7 +1,7 @@
 // Round-closing policy, extracted from RoundDriver into a strategy object.
 //
 // The driver owns everything a close rule must not be allowed to break: it
-// polls the mailbox, runs the shutdown drain, applies the `round_cap`
+// waits on the mailbox, runs the shutdown drain, applies the `round_cap`
 // escape valve, closes instantly on a full set of possibly-live senders,
 // and — crucially — never consults the synchronizer below the n − t
 // in-round quorum the validator's t-resilience check demands of every
@@ -38,6 +38,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,10 +69,19 @@ struct SyncView {
 /// with a null board and degrade to the grace-timeout fallback.
 class PulseBoard {
  public:
+  /// Fired by the publisher each time the mark moves, so followers waiting
+  /// on their mailboxes look at the board at once.  Set before the driver
+  /// threads start.
+  std::function<void()> on_publish;
+
   void publish(Round round) {
     Round seen = latest_.load(std::memory_order_acquire);
-    while (seen < round && !latest_.compare_exchange_weak(
-                               seen, round, std::memory_order_acq_rel)) {
+    while (seen < round) {
+      if (latest_.compare_exchange_weak(seen, round,
+                                        std::memory_order_acq_rel)) {
+        if (on_publish) on_publish();
+        return;
+      }
     }
   }
 
@@ -103,6 +113,12 @@ class RoundSynchronizer {
   /// close now, or keep waiting for stragglers?
   virtual bool should_close(const SyncView& view,
                             std::chrono::steady_clock::time_point now) = 0;
+
+  /// After should_close answered false: the earliest time its answer can
+  /// turn true with no new message, crash or pulse (each of those wakes
+  /// the driver itself); time_point::max() when only such an event can.
+  virtual std::chrono::steady_clock::time_point close_deadline(
+      const SyncView& view) const = 0;
 
   /// Whether `round_floor` (the RTT-emulation pacing knob) applies.  The
   /// timer-paced lockstep honours it; message-paced policies advance at

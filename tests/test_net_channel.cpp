@@ -83,6 +83,34 @@ TEST(NetChannel, CloseUnblocksAWaitingConsumer) {
   EXPECT_TRUE(woke_empty.load());
 }
 
+TEST(NetChannel, WakeEndsAPopUntilWaitWithoutAnItem) {
+  Channel<int> ch(2);
+  std::atomic<bool> woke_empty{false};
+  std::thread consumer([&] {
+    // No deadline: only an item, a close or a wake can end this wait.
+    woke_empty.store(
+        !ch.pop_until(std::chrono::steady_clock::time_point::max())
+             .has_value());
+  });
+  std::this_thread::sleep_for(10ms);
+  ch.wake();
+  consumer.join();
+  EXPECT_TRUE(woke_empty.load());
+  // A wake that lands before the wait is not lost: the next wait ends at
+  // once, and the one after that waits again.
+  ch.wake();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ch.pop_until(start + 10s).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  EXPECT_FALSE(ch.pop_until(std::chrono::steady_clock::now() + 5ms)
+                   .has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 4ms);
+  EXPECT_TRUE(ch.push(3));
+  EXPECT_EQ(ch.pop_until(std::chrono::steady_clock::time_point::max())
+                .value_or(-1),
+            3);
+}
+
 TEST(NetChannel, PushAfterCloseNeverQueues) {
   Channel<int> ch(4);
   ch.close();

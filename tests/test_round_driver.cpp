@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <thread>
 
 #include "fuzz/targets.hpp"
 #include "net/script.hpp"
@@ -105,6 +108,53 @@ TEST(RoundDriver, BeforeSendCrashOnTheCommittedStopRoundIsSuppressed) {
   EXPECT_EQ(driver.log().completed, 1);
   EXPECT_EQ(driver.log().sends.size(), 1u);
   EXPECT_EQ(rig.transport.dispatches(), 1);
+}
+
+TEST(RoundDriver, AWaitingDriverWakesOnTheStopRequest) {
+  // Below quorum with no round cap, no timer can close the round: the
+  // driver sleeps on its mailbox until the stop request wakes it, then
+  // drains for drain_wait and exits.
+  DriverRig rig;
+  rig.control.watch(&rig.mailbox);
+  DriverContext ctx = rig.context();
+  ctx.fixed_rounds = 1;
+  RoundDriver driver(std::move(ctx));
+  std::thread thread([&] { driver.run(); });
+  std::this_thread::sleep_for(20ms);
+  const auto stop = std::chrono::steady_clock::now();
+  rig.control.force_stop(false);
+  thread.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop, 2s);
+  ASSERT_EQ(driver.error(), nullptr);
+  EXPECT_EQ(driver.log().completed, 1);
+}
+
+TEST(RoundDriver, AQuorumHeldBelowTheFloorSleepsUntilTheFloor) {
+  // Self + p1 is a quorum whose grace runs out long before the 100 ms
+  // floor: the driver must sleep until the floor, not spin on a grace
+  // deadline that has already passed.
+  DriverRig rig;
+  rig.options.round_floor = 100ms;
+  auto alg = find_fuzz_target("hr")->factory(1, rig.config);
+  alg->propose(41);
+  rig.mailbox.push(NetEnvelope{1, 1, 1, 0, alg->message_for_round(1)});
+  DriverContext ctx = rig.context();
+  ctx.fixed_rounds = 1;
+  RoundDriver driver(std::move(ctx));
+  const auto thread_cpu = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return std::chrono::seconds{ts.tv_sec} +
+           std::chrono::nanoseconds{ts.tv_nsec};
+  };
+  const auto wall = std::chrono::steady_clock::now();
+  const auto cpu = thread_cpu();
+  driver.run();
+  const auto spent = thread_cpu() - cpu;
+  ASSERT_EQ(driver.error(), nullptr);
+  EXPECT_GE(std::chrono::steady_clock::now() - wall, 100ms);
+  EXPECT_LT(spent, 30ms) << "the driver spun while the floor held";
+  EXPECT_EQ(driver.log().deliveries.size(), 2u);
 }
 
 TEST(RoundDriver, DuplicateCopiesDoNotCloseTheQuorumGateEarly) {

@@ -474,14 +474,29 @@ TEST(SocketRun, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
   // round one real sender short); the validator's reliable-channel and
   // t-resilience checks over the merged trace are exactly the "round did
   // not close early" assertion.
+  //
+  // A resend needs a reset drawn while a written frame is still unacked,
+  // i.e. a link with a second frame queued behind the first.  The run is
+  // held open for 30 rounds: a link in backoff falls behind its driver,
+  // whose n - t quorum needs only the other peer, so frames pile up on it
+  // and every reconnect replays them under the same 90% reset draw.  The
+  // two drivers ahead keep going until the one behind is done too, so the
+  // round cap stays at its default.
   SocketTransportOptions opts;
   opts.seed = 31;
   opts.chaos.seed = 313;
   opts.chaos.until = 300ms;
   opts.chaos.reset_prob = 0.9;
-  SocketCounters counters;
-  const RunResult result =
-      run_over_sockets(SocketAddress::Kind::Unix, opts, &counters);
+  const SystemConfig cfg{.n = 3, .t = 1};
+  LiveRuntime runtime(cfg, LiveOptions{});
+  runtime.use_socket_transport(SocketAddress::Kind::Unix, opts);
+  runtime.set_done_predicate([](const RoundAlgorithm& algorithm) {
+    thread_local int rounds = 0;  // each driver runs on its own thread
+    return ++rounds >= 30 && algorithm.decision().has_value();
+  });
+  const RunResult result = runtime.run(find_fuzz_target("hr")->factory,
+                                       distinct_proposals(cfg.n));
+  const SocketCounters counters = runtime.socket_counters();
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_GT(counters.injected_resets, 0) << "chaos never reset a link";
@@ -773,6 +788,41 @@ TEST(SocketWrite, BlockedLinkWaitsInsteadOfSpinning) {
   const long attempts = fabric.endpoint->counters().flush_syscalls - before;
   EXPECT_LE(attempts, 4);
   EXPECT_EQ(fabric.endpoint->link_counters(1).connect_attempts, 1);
+}
+
+TEST(SocketEndpoint, ExpeditedLinkRedialsWithoutWaitingOutItsBackoff) {
+  // Nobody listens at the peers' addresses, so every dial fails and the
+  // backoff (5 s here) would hold the next one back.  Once expedited, a
+  // shutdown must not wait: the link redials within milliseconds.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  const std::string dir = fresh_socket_dir();
+  std::vector<SocketAddress> addrs;
+  for (int i = 0; i < cfg.n; ++i) {
+    addrs.push_back(
+        SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
+  }
+  Mailbox mailbox(64);
+  SocketTransportOptions opts;
+  opts.backoff = BackoffPolicy{5s, 5s};
+  opts.linger = 50ms;
+  SocketEndpoint ep(0, addrs, opts);
+  ep.add_group(identity_group(0, cfg, &mailbox));
+  ep.start(std::chrono::steady_clock::now());
+  const auto attempts = [&] { return ep.link_counters(1).connect_attempts; };
+  const auto wait_for = [&](long want, std::chrono::milliseconds within) {
+    const auto until = std::chrono::steady_clock::now() + within;
+    while (attempts() < want && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(1ms);
+    }
+    return attempts();
+  };
+  ASSERT_GE(wait_for(1, 2000ms), 1);
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(attempts(), 1) << "the backoff did not hold the redial back";
+  ep.expedite();
+  EXPECT_GE(wait_for(3, 200ms), 3);
+  ep.stop_and_flush();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {

@@ -87,6 +87,41 @@ TEST(Sync, LockstepArmsOnFirstQuorumThenClosesAfterGrace) {
   EXPECT_FALSE(sync->should_close(view_for(2, 2, t0), t0 + 10 * kGrace));
 }
 
+TEST(Sync, CloseDeadlineIsWhenTheGraceTimerRunsOut) {
+  const Clock::time_point t0 = Clock::now();
+  const SyncView v = view_for(1, 2, t0);
+  for (const SyncKind kind : {SyncKind::Lockstep, SyncKind::Pacemaker}) {
+    const auto sync = make(kind);
+    sync->round_open(v);
+    // Unarmed, no timer runs: only a message, crash or pulse can help.
+    EXPECT_EQ(sync->close_deadline(v), Clock::time_point::max());
+    EXPECT_FALSE(sync->should_close(v, t0 + 1ms));
+    EXPECT_EQ(sync->close_deadline(v), t0 + 1ms + kGrace);
+    EXPECT_TRUE(sync->should_close(v, sync->close_deadline(v)));
+  }
+  // The fast path holds for the full set until round_start + grace, then
+  // its slow-path grace timer arms.
+  const auto fast = make(SyncKind::FastStep);
+  fast->round_open(v);
+  EXPECT_FALSE(fast->should_close(v, t0));
+  EXPECT_EQ(fast->close_deadline(v), t0 + kGrace);
+  EXPECT_FALSE(fast->should_close(v, fast->close_deadline(v)));
+  EXPECT_EQ(fast->close_deadline(v), t0 + 2 * kGrace);
+  EXPECT_TRUE(fast->should_close(v, fast->close_deadline(v)));
+}
+
+TEST(Pacemaker, PublishWakesTheBoardsListenerOncePerRound) {
+  PulseBoard board;
+  int wakes = 0;
+  board.on_publish = [&] { ++wakes; };
+  board.publish(1);
+  board.publish(1);  // a duplicate pulse does not move the mark
+  board.publish(3);
+  board.publish(2);  // nor does a late one
+  EXPECT_EQ(board.latest(), 3);
+  EXPECT_EQ(wakes, 2);
+}
+
 TEST(Pacemaker, CoordinatorPublishesAtQuorumAndFollowersCloseOnThePulse) {
   PulseBoard board;
   const auto leader = make(SyncKind::Pacemaker, /*self=*/0, &board);
