@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "common/table.hpp"
@@ -91,9 +92,8 @@ int main(int argc, char** argv) {
         continue;
       }
       std::vector<Value> mine;
-      for (int s = 0; s < kSlots; ++s) {
-        mine.push_back(rep->log()[static_cast<std::size_t>(s)].value_or(
-            kNoOpCommand));
+      for (const std::optional<Value>& entry : rep->log()) {
+        mine.push_back(entry.value_or(kNoOpCommand));
       }
       if (log.empty()) {
         log = mine;

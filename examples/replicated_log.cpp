@@ -82,10 +82,13 @@ int main() {
   std::cout << "committed log (slot: command @ commit round):\n";
   const auto* reference =
       dynamic_cast<const RsmReplica*>(instances[1].get());
+  const auto& reference_log = reference->log();
   for (int slot = 0; slot < rsm_options.num_slots; ++slot) {
     std::cout << "  slot " << slot << ": ";
-    if (reference->log()[slot]) {
-      std::cout << render(*reference->log()[slot]) << " @ round "
+    // The log covers the slots started so far; later ones are uncommitted.
+    const auto s = static_cast<std::size_t>(slot);
+    if (s < reference_log.size() && reference_log[s]) {
+      std::cout << render(*reference_log[s]) << " @ round "
                 << reference->commit_round(slot) << "\n";
     } else {
       std::cout << "(uncommitted)\n";
@@ -96,10 +99,8 @@ int main() {
   bool agree = true;
   for (ProcessId pid : result.trace.correct()) {
     const auto* replica = dynamic_cast<const RsmReplica*>(instances[pid].get());
-    bool same = replica->all_slots_committed();
-    for (int slot = 0; slot < rsm_options.num_slots && same; ++slot) {
-      same = replica->log()[slot] == reference->log()[slot];
-    }
+    const bool same =
+        replica->all_slots_committed() && replica->log() == reference_log;
     agree &= same;
     std::cout << "  p" << pid << ": "
               << (same ? "identical log" : "DIVERGED") << "\n";

@@ -8,7 +8,9 @@
 #include "sim/validator.hpp"
 
 namespace indulgence {
+namespace {
 
+/// The merged events, with the GST still at the hint (or 1).
 RunTrace merge_process_logs(const LiveMergeInput& input) {
   const std::vector<ProcessLog>& logs = *input.logs;
   const int n = input.config.n;
@@ -114,15 +116,20 @@ RunTrace merge_process_logs(const LiveMergeInput& input) {
            std::tie(b.send_round, b.sender, b.receiver);
   });
   for (const UndeliveredCopy& copy : all) add_pending(copy);
-
-  if (input.gst_hint <= 0) trace.set_gst(minimal_conforming_gst(trace));
   return trace;
 }
+
+}  // namespace
 
 RunResult merge_and_check(const LiveMergeInput& input) {
   RunResult result;
   result.trace = merge_process_logs(input);
-  result.validation = validate_trace(result.trace);
+  // One suspicion index serves the derived GST and the validator alike.
+  const InRoundIndex in_round(result.trace);
+  if (input.gst_hint <= 0) {
+    result.trace.set_gst(minimal_conforming_gst(result.trace, in_round));
+  }
+  result.validation = validate_trace(result.trace, in_round);
   result.global_decision_round = result.trace.global_decision_round();
   result.agreement = result.trace.agreement_ok();
   result.validity = result.trace.validity_ok();
@@ -131,7 +138,8 @@ RunResult merge_and_check(const LiveMergeInput& input) {
   return result;
 }
 
-Round minimal_conforming_gst(const RunTrace& trace) {
+Round minimal_conforming_gst(const RunTrace& trace,
+                             const InRoundIndex& in_round) {
   std::map<ProcessId, Round> crash_round;
   for (const CrashRecord& c : trace.crashes()) crash_round[c.pid] = c.round;
   const auto completes = [&](ProcessId pid, Round k) {
@@ -139,7 +147,6 @@ Round minimal_conforming_gst(const RunTrace& trace) {
     return it == crash_round.end() || it->second > k;
   };
 
-  const InRoundIndex in_round(trace);
   Round gst = 1;
   for (const SendRecord& s : trace.sends()) {
     auto it = crash_round.find(s.sender);

@@ -46,8 +46,6 @@ struct LiveMergeInput {
   int byzantine_budget = 0;
 };
 
-RunTrace merge_process_logs(const LiveMergeInput& input);
-
 /// Merges the logs and checks the merged trace: the validator's report and
 /// the consensus properties, as one RunResult.  LiveRuntime, run_sharded
 /// and ship_and_merge all end here.
@@ -56,6 +54,8 @@ RunResult merge_and_check(const LiveMergeInput& input);
 /// The smallest round K such that check_synchronous_delivery(K) passes:
 /// from K on, every message of a sender that does not crash in its send
 /// round reaches every process completing that round, in-round.
-Round minimal_conforming_gst(const RunTrace& trace);
+/// `in_round` is the InRoundIndex of `trace`.
+Round minimal_conforming_gst(const RunTrace& trace,
+                             const InRoundIndex& in_round);
 
 }  // namespace indulgence

@@ -16,7 +16,8 @@ RunControl::RunControl(SystemConfig config)
       done_(static_cast<std::size_t>(config.n), 0),
       crashed_(static_cast<std::size_t>(config.n), 0),
       armed_(static_cast<std::size_t>(config.n), 0),
-      candidate_(static_cast<std::size_t>(config.n), 0) {}
+      candidate_(static_cast<std::size_t>(config.n), 0),
+      payloads_(static_cast<std::size_t>(config.n)) {}
 
 void RunControl::request_stop_locked(bool completed, bool& fire) {
   if (!completed) aborted_.store(true, std::memory_order_release);
@@ -109,6 +110,26 @@ void RunControl::stopped() {
 
 void RunControl::wake_watchers() const {
   for (Mailbox* mailbox : watchers_) mailbox->wake();
+}
+
+void RunControl::register_payload(ProcessId sender, Round round,
+                                  MessagePtr payload) {
+  std::lock_guard<std::mutex> lock(payloads_mutex_);
+  auto& sent = payloads_[static_cast<std::size_t>(sender)];
+  if (sent.size() < static_cast<std::size_t>(round)) {
+    sent.resize(static_cast<std::size_t>(round));
+  }
+  sent[static_cast<std::size_t>(round) - 1] = std::move(payload);
+}
+
+MessagePtr RunControl::registered_payload(ProcessId sender,
+                                          Round round) const {
+  if (sender < 0 || sender >= config_.n || round < 1) return nullptr;
+  std::lock_guard<std::mutex> lock(payloads_mutex_);
+  const auto& sent = payloads_[static_cast<std::size_t>(sender)];
+  return static_cast<std::size_t>(round) <= sent.size()
+             ? sent[static_cast<std::size_t>(round) - 1]
+             : nullptr;
 }
 
 bool RunControl::boundary(ProcessId pid, Round next_round) {
@@ -303,6 +324,22 @@ void RoundDriver::collect_live(Round k) {
   }
 }
 
+MessagePtr RoundDriver::shared_payload(const Envelope& e) const {
+  // Only an honest copy may stand for the broadcast, and only when its
+  // content equals the registered object: forged and mismatched copies keep
+  // their own payload, so the validator still sees every equivocation.
+  if (e.payload == nullptr || (e.origin >= 0 && e.origin != e.sender)) {
+    return e.payload;
+  }
+  MessagePtr registered =
+      ctx_.control->registered_payload(e.sender, e.send_round);
+  if (registered == nullptr || registered == e.payload ||
+      !registered->same_content(*e.payload)) {
+    return e.payload;
+  }
+  return registered;
+}
+
 void RoundDriver::finish_round(Round k) {
   // The kernel presents each round's batch ordered by (send_round, sender);
   // matching that order makes replay batches bit-identical inputs.
@@ -318,7 +355,7 @@ void RoundDriver::finish_round(Round k) {
             });
   for (const Envelope& e : batch_) {
     log_.deliveries.push_back(DeliveryRecord{k, ctx_.self, e.sender,
-                                             e.send_round, e.payload,
+                                             e.send_round, shared_payload(e),
                                              e.origin});
   }
   if (!halted_) {
@@ -408,6 +445,7 @@ void RoundDriver::run_impl() {
                              " returned a null round message");
     }
     log_.sends.push_back(SendRecord{k, ctx_.self, halted_});
+    control.register_payload(ctx_.self, k, payload);
     batch_.clear();
     in_round_count_ = 0;
     delayed_count_ = 0;

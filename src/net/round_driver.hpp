@@ -15,6 +15,13 @@
 // delayed: "in round" is a property of the receiver's own round counter,
 // exactly as the validator defines it.
 //
+// One payload per broadcast: each driver registers its round-k payload
+// with the group's RunControl before dispatching it, and a receiver in the
+// same address space logs that object in place of its own decoded copy
+// when the two have equal content.  A socket run then keeps one payload
+// per (sender, round) in its trace, not one per receiver; forged and
+// mismatched copies keep their own, so equivocation stays visible.
+//
 // Shutdown is the armed-stop protocol.  Once every live process reports
 // done (or a round cap fires), RunControl requests a stop; each driver,
 // at its next round boundary, arms once with the last round it completed,
@@ -70,8 +77,9 @@ struct ProcessLog {
   std::vector<UndeliveredCopy> leftovers;
 };
 
-/// Shared coordination between driver threads: done/crash accounting and
-/// the armed-stop shutdown protocol.  All methods are thread-safe.
+/// Shared coordination between driver threads: done/crash accounting, the
+/// armed-stop shutdown protocol and the broadcast payload table.  All
+/// methods are thread-safe.
 class RunControl {
  public:
   explicit RunControl(SystemConfig config);
@@ -127,6 +135,15 @@ class RunControl {
   /// Ends the current mailbox wait of every watching driver.
   void wake_watchers() const;
 
+  /// One payload per broadcast: a driver registers its round-`round`
+  /// payload here before dispatching it, so every receiver in this address
+  /// space can log the sender's own object instead of a decoded copy.
+  void register_payload(ProcessId sender, Round round, MessagePtr payload);
+
+  /// The payload `sender` registered for `round`, or null when none was
+  /// registered here (the sender lives in another address space).
+  MessagePtr registered_payload(ProcessId sender, Round round) const;
+
  private:
   void request_stop_locked(bool completed, bool& fire);
   /// Runs on_stop and wakes the watchers, once, outside the lock.
@@ -151,6 +168,9 @@ class RunControl {
   std::atomic<bool> aborted_{false};
   std::atomic<int> crashed_n_{0};
   std::vector<Mailbox*> watchers_;
+  mutable std::mutex payloads_mutex_;
+  /// [sender][round - 1]: each driver's registered broadcasts.
+  std::vector<std::vector<MessagePtr>> payloads_;
 };
 
 struct DriverContext {
@@ -201,6 +221,9 @@ class RoundDriver {
   void collect_live(Round k);
   void adopt_future(Round k);
   void route(NetEnvelope env, Round k);
+  /// The payload a delivery record keeps: the sender's registered object
+  /// when this is an honest copy with equal content, else the copy's own.
+  MessagePtr shared_payload(const Envelope& e) const;
   void finish_round(Round k);
   bool is_done() const;
 

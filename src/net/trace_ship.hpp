@@ -3,8 +3,8 @@
 // every process serializes what it observed — its ProcessLog, the copies
 // its socket endpoint still held at teardown, and the endpoint's
 // supervisor counters — to one binary file, and the launcher ships the
-// files back together into the very same merge_process_logs +
-// minimal-conforming-GST + Validator pipeline the in-process runtime uses.
+// files back together into the very same merge_and_check pipeline (merge,
+// minimal conforming GST, Validator) the in-process runtime uses.
 // The oracle does not change because the address spaces did.
 //
 // The file format reuses the wire codec (little-endian primitives, the

@@ -87,10 +87,6 @@ RsmReplica::RsmReplica(ProcessId self, const SystemConfig& config,
   }
   window_ = options_.slot_window > 0 ? options_.slot_window : config.t + 3;
   burst_ = options_.slot_burst;
-  slots_.resize(options_.num_slots);
-  proposed_.resize(options_.num_slots);
-  log_.resize(options_.num_slots);
-  commit_rounds_.assign(options_.num_slots, 0);
 }
 
 void RsmReplica::propose(Value v) { pool_.emplace(next_propose_rank_--, v); }
@@ -134,8 +130,18 @@ void RsmReplica::start_slot(int slot) {
   open_.push_back(slot);
 }
 
+void RsmReplica::grow_to(int last) {
+  const auto size = static_cast<std::size_t>(last) + 1;
+  if (size <= log_.size()) return;
+  slots_.resize(size);
+  proposed_.resize(size);
+  log_.resize(size);
+  commit_rounds_.resize(size, 0);
+}
+
 void RsmReplica::ensure_started(Round k) {
   const int last = last_started_slot(k);
+  grow_to(last);
   for (int slot = started_hwm_; slot <= last; ++slot) {
     if (!log_[slot]) start_slot(slot);
   }
@@ -158,7 +164,9 @@ void RsmReplica::record_commit(int slot, Value v, Round round) {
   retained_.push_back(Retained{
       slot, options_.decide_retention > 0 ? round + options_.decide_retention
                                           : 0});
-  while (prefix_ < options_.num_slots && log_[prefix_]) ++prefix_;
+  while (static_cast<std::size_t>(prefix_) < log_.size() && log_[prefix_]) {
+    ++prefix_;
+  }
   // The slot's consensus instance is settled; free it so a long log does
   // not hold every instance alive.
   slots_[slot].reset();
@@ -195,6 +203,7 @@ MessagePtr RsmReplica::message_for_round(Round k) {
 
 void RsmReplica::on_round(Round k, const Delivery& delivered) {
   const int last = last_started_slot(k);
+  grow_to(last);
   // This round's working set: the open slots plus any slot the send phase
   // has not opened yet (possible when a crash swallowed the send) —
   // ascending, since open slots all precede started_hwm_.

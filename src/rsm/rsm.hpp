@@ -79,7 +79,9 @@ using RsmCommitCallback =
     std::function<void(int slot, Value value, Round round)>;
 
 struct RsmOptions {
-  int num_slots = 8;     ///< how many log positions to run
+  int num_slots = 8;     ///< how many log positions to run: a bound, not an
+                         ///< allocation (per-slot state grows as slots
+                         ///< start)
   Round slot_window = 0; ///< rounds between slot starts; 0 means t + 3
                          ///< (A_{t+2}'s synchronous worst case, no overlap)
   int slot_burst = 1;    ///< slots opened together per window step: burst b
@@ -139,7 +141,9 @@ class RsmReplica : public RoundAlgorithm {
 
   // --- log access ----------------------------------------------------------
 
-  /// log()[s] holds slot s's committed command once known to this replica.
+  /// One entry per slot started so far (at most num_slots): log()[s] holds
+  /// slot s's committed command once known to this replica.  Slots past
+  /// log().size() have not started here yet.
   const std::vector<std::optional<Value>>& log() const { return log_; }
 
   /// Number of leading slots committed at this replica (O(1): maintained
@@ -151,8 +155,13 @@ class RsmReplica : public RoundAlgorithm {
   /// Slots committed at this replica so far (not necessarily a prefix).
   long committed_count() const { return committed_count_; }
 
-  /// Round at which this replica learned slot s (0 if not yet).
-  Round commit_round(int slot) const { return commit_rounds_[slot]; }
+  /// Round at which this replica learned slot s (0 if not yet, including
+  /// every slot past the started range).
+  Round commit_round(int slot) const {
+    return slot >= 0 && static_cast<std::size_t>(slot) < commit_rounds_.size()
+               ? commit_rounds_[static_cast<std::size_t>(slot)]
+               : 0;
+  }
 
  private:
   /// Round 1 of slot s.  Slots in the same burst share a start round, so a
@@ -161,6 +170,8 @@ class RsmReplica : public RoundAlgorithm {
     return static_cast<Round>(slot / burst_) * window_ + 1;
   }
   int last_started_slot(Round k) const;
+  /// Extends the per-slot state to cover slots [0, last].
+  void grow_to(int last);
   void ensure_started(Round k);
   void start_slot(int slot);
   /// A command with the rank of its first draw (propose() ranks are
@@ -193,7 +204,8 @@ class RsmReplica : public RoundAlgorithm {
   Round window_ = 1;
   int burst_ = 1;
 
-  std::vector<std::unique_ptr<RoundAlgorithm>> slots_;  ///< index = slot
+  // Per-slot state, index = slot, covering the slots started so far.
+  std::vector<std::unique_ptr<RoundAlgorithm>> slots_;
   std::vector<Ranked> proposed_;  ///< ours, per slot (no-op if none)
   std::vector<std::optional<Value>> log_;
   std::vector<Round> commit_rounds_;

@@ -11,7 +11,8 @@ namespace {
 
 class Checker {
  public:
-  explicit Checker(const RunTrace& trace) : trace_(trace), in_round_(trace) {}
+  Checker(const RunTrace& trace, const InRoundIndex& in_round)
+      : trace_(trace), in_round_(in_round) {}
 
   ValidationReport run() {
     index();
@@ -252,7 +253,7 @@ class Checker {
   }
 
   const RunTrace& trace_;
-  const InRoundIndex in_round_;
+  const InRoundIndex& in_round_;
   ValidationReport report_;
   const ProcessSet byz_ = trace_.byzantine();
 
@@ -274,7 +275,12 @@ std::string ValidationReport::to_string() const {
 }
 
 ValidationReport validate_trace(const RunTrace& trace) {
-  return Checker(trace).run();
+  return validate_trace(trace, InRoundIndex(trace));
+}
+
+ValidationReport validate_trace(const RunTrace& trace,
+                                const InRoundIndex& in_round) {
+  return Checker(trace, in_round).run();
 }
 
 void expect_valid(const RunTrace& trace) {

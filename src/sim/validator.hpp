@@ -20,10 +20,11 @@
 //             - reliable channels: a message from a correct process to a
 //               correct process is delivered or still pending, never lost.
 //
-// Cost: one pass builds an InRoundIndex (sim/trace.hpp), so the in-round
-// checks are O(1) per (round, receiver) or (send, receiver) pair, and the
-// rest is O(D log D) over D records.  Separately decoded copies of one
-// broadcast are compared with Message::same_content.
+// Cost: one pass builds an InRoundIndex (sim/trace.hpp), unless the caller
+// hands one in, so the in-round checks are O(1) per (round, receiver) or
+// (send, receiver) pair, and the rest is O(D log D) over D records.
+// Separately decoded copies of one broadcast are compared with
+// Message::same_content.
 
 #pragma once
 
@@ -43,6 +44,11 @@ struct ValidationReport {
 
 /// Checks `trace` against its own model() and gst().
 ValidationReport validate_trace(const RunTrace& trace);
+
+/// The same, over an InRoundIndex already built for `trace` (the live merge
+/// shares one index with its GST derivation).
+ValidationReport validate_trace(const RunTrace& trace,
+                                const InRoundIndex& in_round);
 
 /// Throwing convenience used in tests: aborts with the full report.
 void expect_valid(const RunTrace& trace);

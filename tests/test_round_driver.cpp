@@ -18,9 +18,12 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 
+#include "consensus/consensus.hpp"
 #include "fuzz/targets.hpp"
+#include "net/live_trace.hpp"
 #include "net/script.hpp"
 #include "net/transport.hpp"
 
@@ -238,6 +241,75 @@ TEST(RoundDriver, ScriptedCrashExecutesEvenAfterTheStop) {
   EXPECT_EQ(driver.log().completed, 0);
   EXPECT_TRUE(driver.log().sends.empty());
   EXPECT_EQ(rig.transport.dispatches(), 0);
+}
+
+TEST(PayloadSharing, MismatchedCopyKeepsItsOwnPayloadAndIsReported) {
+  // p1 and p2 registered their round-1 broadcasts, as their drivers do
+  // before dispatch.  p0 then receives decoded copies: p2's equals what p2
+  // registered, p1's does not, and a forged copy in p2's name (emitted by
+  // p1) carries p2's content.
+  DriverRig rig;
+  const auto message_of = [](Value v) -> MessagePtr {
+    return std::make_shared<DecideMessage>(v);
+  };
+  const MessagePtr p1_sent = message_of(41);
+  const MessagePtr p2_sent = message_of(42);
+  rig.control.register_payload(1, 1, p1_sent);
+  rig.control.register_payload(2, 1, p2_sent);
+  const MessagePtr p1_copy = message_of(99);
+  const MessagePtr p2_copy = message_of(42);
+  const MessagePtr forged = message_of(42);
+  ASSERT_FALSE(p1_copy->same_content(*p1_sent));
+  ASSERT_TRUE(p2_copy->same_content(*p2_sent));
+  // The forged copy goes first: it does not count toward the quorum, and
+  // the round closes on the two honest ones.
+  rig.mailbox.push(NetEnvelope{2, 1, 1, 0, forged, /*origin=*/1});
+  rig.mailbox.push(NetEnvelope{1, 1, 1, 0, p1_copy});
+  rig.mailbox.push(NetEnvelope{2, 1, 1, 0, p2_copy});
+
+  DriverContext ctx = rig.context();
+  ctx.fixed_rounds = 1;
+  RoundDriver driver(std::move(ctx));
+  driver.run();
+  ASSERT_EQ(driver.error(), nullptr);
+  ASSERT_EQ(driver.log().deliveries.size(), 4u);
+  for (const DeliveryRecord& d : driver.log().deliveries) {
+    if (d.sender == 0) {
+      EXPECT_EQ(d.payload, rig.control.registered_payload(0, 1));
+    } else if (d.sender == 1) {
+      EXPECT_EQ(d.payload, p1_copy) << "a mismatched copy was replaced";
+    } else if (d.origin == 1) {
+      EXPECT_EQ(d.payload, forged) << "a forged copy was replaced";
+    } else {
+      EXPECT_EQ(d.payload, p2_sent) << "an equal copy kept its own object";
+    }
+  }
+
+  // The senders' own logs hold what they registered, so the merged trace
+  // shows p1's broadcast differing across receivers.
+  std::vector<ProcessLog> logs(3);
+  logs[0] = driver.log();
+  for (ProcessId pid : {1, 2}) {
+    ProcessLog& log = logs[static_cast<std::size_t>(pid)];
+    log.proposal = 40 + pid;
+    log.sends.push_back(SendRecord{1, pid, false});
+    log.deliveries.push_back(DeliveryRecord{
+        1, pid, pid, 1, rig.control.registered_payload(pid, 1)});
+    log.completed = 1;
+  }
+  LiveMergeInput merge;
+  merge.config = rig.config;
+  merge.logs = &logs;
+  const RunResult result = merge_and_check(merge);
+  int p1_reports = 0;
+  for (const std::string& v : result.validation.violations) {
+    if (v.find("equivocation by unbudgeted p1") != std::string::npos) {
+      ++p1_reports;
+    }
+    EXPECT_EQ(v.find("equivocation by unbudgeted p2"), std::string::npos)
+        << v;
+  }
+  EXPECT_EQ(p1_reports, 1) << result.validation.to_string();
 }
 
 }  // namespace

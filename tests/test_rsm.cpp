@@ -66,7 +66,7 @@ TEST(Rsm, FailureFreeLogsAgreeAndFill) {
   ASSERT_TRUE(run.result.validation.ok());
   for (const RsmReplica* r : run.replicas) {
     ASSERT_NE(r, nullptr);
-    EXPECT_TRUE(r->all_slots_committed());
+    ASSERT_TRUE(r->all_slots_committed());
   }
   for (int slot = 0; slot < opt.num_slots; ++slot) {
     for (const RsmReplica* r : run.replicas) {
@@ -89,6 +89,7 @@ TEST(Rsm, CommittedCommandsWereActuallyQueued) {
     legal.insert(id);  // the kernel proposal joins the queue front
   }
   for (const RsmReplica* r : run.replicas) {
+    ASSERT_TRUE(r->all_slots_committed());
     for (const auto& entry : r->log()) {
       ASSERT_TRUE(entry.has_value());
       // Either a queued command or a no-op sentinel.
@@ -137,7 +138,7 @@ TEST(Rsm, SurvivesCrashAndStillAgrees) {
   for (ProcessId pid : correct) {
     const RsmReplica* r = run.replicas[pid];
     ASSERT_NE(r, nullptr);
-    EXPECT_TRUE(r->all_slots_committed()) << "replica p" << pid;
+    ASSERT_TRUE(r->all_slots_committed()) << "replica p" << pid;
     if (!reference) reference = r;
     for (int slot = 0; slot < opt.num_slots; ++slot) {
       EXPECT_EQ(r->log()[slot], reference->log()[slot]);
@@ -236,6 +237,51 @@ TEST(Rsm, RejectsReservedCommandValues) {
   bad.num_slots = 0;
   EXPECT_THROW(RsmReplica(0, cfg, at2_slots(), rsm_list_source({}), {}, bad),
                std::invalid_argument);
+}
+
+TEST(RsmSlotState, GrowsWithStartedSlots) {
+  // num_slots bounds the log; it is not an allocation.  Per-slot state
+  // covers the slots started so far, so a bound of ten million costs
+  // nothing before round 1 and k * b entries after k rounds of burst b.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  RsmOptions opt;
+  opt.num_slots = 10'000'000;
+  opt.slot_window = 1;
+  opt.slot_burst = 3;
+  const RsmReplica fresh(0, cfg, at2_slots(), rsm_list_source({}), {}, opt);
+  EXPECT_TRUE(fresh.log().empty());
+  EXPECT_EQ(fresh.committed_prefix(), 0);
+  EXPECT_EQ(fresh.commit_round(0), 0);
+  EXPECT_EQ(fresh.commit_round(opt.num_slots - 1), 0);
+
+  constexpr Round kRounds = 12;
+  const RsmRun run =
+      run_rsm(cfg, rsm_factory(at2_slots(), command_streams(4), opt),
+              failure_free_schedule(cfg), kRounds);
+  ASSERT_TRUE(run.result.validation.ok())
+      << run.result.validation.to_string();
+  for (const RsmReplica* r : run.replicas) {
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->log().size(),
+              static_cast<std::size_t>(kRounds * opt.slot_burst));
+    EXPECT_GT(r->committed_prefix(), 0);
+    EXPECT_FALSE(r->all_slots_committed());
+    // Past the started range every slot reads as not yet committed.
+    EXPECT_EQ(r->commit_round(static_cast<int>(r->log().size())), 0);
+    EXPECT_EQ(r->commit_round(opt.num_slots - 1), 0);
+  }
+
+  // A small bound still fills, and the log stops growing at it.
+  opt.num_slots = 7;
+  const RsmRun small =
+      run_rsm(cfg, rsm_factory(at2_slots(), command_streams(3), opt),
+              failure_free_schedule(cfg), 24);
+  ASSERT_TRUE(small.result.validation.ok());
+  for (const RsmReplica* r : small.replicas) {
+    ASSERT_NE(r, nullptr);
+    EXPECT_TRUE(r->all_slots_committed());
+    EXPECT_EQ(r->log().size(), 7u);
+  }
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -430,6 +432,35 @@ TEST(SocketRun, CleanUdsRunSatisfiesTheValidator) {
                            << result.trace.to_string();
   EXPECT_GT(counters.envelopes_delivered, 0);
   EXPECT_EQ(counters.injected_resets, 0);
+}
+
+TEST(PayloadSharing, SocketRemoteCopiesShareTheSelfDeliveryPayload) {
+  // One payload per broadcast: every honest copy a remote receiver logs is
+  // the sender's own object, not a separately decoded one.
+  SocketTransportOptions opts;
+  opts.seed = 24;
+  SocketCounters counters;
+  const RunResult result =
+      run_over_sockets(SocketAddress::Kind::Unix, opts, &counters);
+  ASSERT_TRUE(result.ok()) << result.validation.to_string();
+  EXPECT_GT(counters.envelopes_delivered, 0);
+  std::map<std::pair<ProcessId, Round>, const Message*> own;
+  for (const DeliveryRecord& d : result.trace.deliveries()) {
+    if (d.sender == d.receiver) own[{d.sender, d.send_round}] = d.payload.get();
+  }
+  long remote = 0;
+  std::set<const Message*> distinct;
+  for (const DeliveryRecord& d : result.trace.deliveries()) {
+    distinct.insert(d.payload.get());
+    if (d.sender == d.receiver) continue;
+    ++remote;
+    ASSERT_TRUE(own.count({d.sender, d.send_round}));
+    EXPECT_EQ(d.payload.get(), own.at({d.sender, d.send_round}))
+        << "p" << d.sender << "->p" << d.receiver << " sent@"
+        << d.send_round;
+  }
+  EXPECT_GT(remote, 0);
+  EXPECT_EQ(distinct.size(), own.size());
 }
 
 TEST(SocketRun, CleanTcpRunSatisfiesTheValidator) {
